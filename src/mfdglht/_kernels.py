@@ -1,73 +1,56 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Block kernels over one time-integrated Gram matrix.
 
 Every double time integral the degrees-of-freedom machinery needs is a
 weighted sum of products of two separable kernels, so it factors exactly
-through weighted single-time Gram matrices: with
+through the weighted single-time Gram matrix of the standardized curves:
+with rows indexed by (observation, component),
 
-    Q[a, c] = integral of z_a(t) z_c(t)^T dt      (a p x p block per pair)
+    K[(a, h), (c, l)] = integral of z_a(t)[h] z_c(t)[l] dt,
 
-each functional becomes a small contraction of the blocks of Q. Both
-backends compute these identical quantities; the numpy versions lean on
-BLAS matmuls, the numba versions fuse the loops.
-
-Backend selection: the environment variable ``MFD_GLHT_BACKEND`` may be
-set to ``numba``, ``numpy``, or ``auto`` (default). With ``auto`` the
-numba path is used whenever numba imports cleanly. Callers can also force
-a backend per call, which the equivalence tests and the benchmark script
-rely on. Forcing numba where it does not import raises ``InputError``.
+each functional becomes a small contraction of p x p blocks of K. Once K
+exists nothing touches the time grid again, so the whole cost in m is one
+symmetric rank-m update (``gram_upper``) of the curves scaled by the
+square roots of the quadrature weights. The other kernels take a
+block of K and never see curves.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-from .errors import InputError
-
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    numba = None
-    HAVE_NUMBA = False
+from scipy.linalg import blas
 
 __all__ = [
-    "HAVE_NUMBA",
-    "resolve_backend",
+    "gram_upper",
+    "symmetric_block",
     "within_group_scalars",
     "k4_first_term",
     "pair_trace_integrals",
 ]
 
-_ENV_VAR = "MFD_GLHT_BACKEND"
 
+def gram_upper(a: np.ndarray) -> np.ndarray:
+    """Upper triangle of ``a @ a.T`` for a C-ordered ``a`` of shape (r, m), by one BLAS ``dsyrk``.
 
-def resolve_backend(backend: str | None = None) -> str:
-    """Return the backend to use: 'numba' or 'numpy'.
-
-    Raises ``ValueError`` for an unknown name and ``InputError`` when numba
-    is forced (by argument or environment) but cannot be imported.
+    Entries below the diagonal are not computed and stay zero: read
+    off-diagonal blocks from the upper side and pass diagonal blocks through
+    ``symmetric_block``.
     """
-    choice = backend or os.environ.get(_ENV_VAR, "auto")
-    choice = choice.lower()
-    if choice not in ("auto", "numba", "numpy"):
-        raise ValueError(f"unknown backend {choice!r}; use 'auto', 'numba', or 'numpy'")
-    if choice == "numba" and not HAVE_NUMBA:
-        raise InputError("numba backend requested but numba is not importable")
-    if choice == "auto":
-        return "numba" if HAVE_NUMBA else "numpy"
-    return choice
+    # a.T is Fortran-ordered, so BLAS reads it in place; trans=1 gives a @ a.T.
+    # dsyrk writes only the upper triangle of c, so the zeros below it remain.
+    c = np.zeros((a.shape[0], a.shape[0]), order="F")
+    return blas.dsyrk(1.0, a.T, c=c, trans=1, lower=0, overwrite_c=1)
 
 
-# ---------------------------------------------------------------------------
-# numpy implementations
-# ---------------------------------------------------------------------------
+def symmetric_block(gram: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Full symmetric diagonal block ``gram[lo:hi, lo:hi]`` of a ``gram_upper`` result."""
+    upper = gram[lo:hi, lo:hi]
+    block = upper + upper.T
+    np.fill_diagonal(block, upper.diagonal())
+    return block
 
 
-def _within_group_scalars_numpy(z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Nine aggregate double integrals of one group's standardized curves.
+def within_group_scalars(block: np.ndarray, p: int) -> np.ndarray:
+    """Nine aggregate double integrals of one group from its symmetric Gram block.
 
     Writing delta_ab(t, s) = z_a(t) . z_b(s) and angle brackets for the
     weighted double integral over (t, s), the entries are the complete
@@ -80,188 +63,42 @@ def _within_group_scalars_numpy(z: np.ndarray, w: np.ndarray) -> np.ndarray:
       W12 = sum_{j,c,d} delta_jc delta_dj
       F2  = sum_{a,b} delta_ab^2      F2X = sum_{a,b} delta_ab delta_ba
 
-    computed through the block Gram tensor Q[a, c] = int z_a z_c^T dt.
+    with ``block`` the (n p, n p) Gram of the group's n curves.
     """
-    n, p, m = z.shape
-    flat = z.reshape(n * p, m)
-    gram = (flat * w) @ flat.T
-    q = gram.reshape(n, p, n, p)
+    n = block.shape[0] // p
+    q = block.reshape(n, p, n, p)
     q_diag = np.einsum("jpjq->jpq", q)
     row = q.sum(axis=2)
-    total = q.sum(axis=(0, 2))
+    total = row.sum(axis=0)
     diag_sum = q_diag.sum(axis=0)
     return np.array(
         [
-            float(np.einsum("ij,ij->", gram, gram)),
-            float(np.einsum("jpq,jpq->", row, row)),
-            float(np.einsum("pq,pq->", total, total)),
-            float(np.einsum("jpq,jpq->", q_diag, q_diag)),
-            float(np.einsum("jpq,jpq->", q_diag, row)),
-            float(np.einsum("pq,pq->", diag_sum, total)),
-            float(np.einsum("jpq,jqp->", row, row)),
-            float(np.einsum("pq,pq->", diag_sum, diag_sum)),
-            float(np.einsum("jpcq,jqcp->", q, q)),
+            np.vdot(block, block),
+            np.vdot(row, row),
+            np.vdot(total, total),
+            np.vdot(q_diag, q_diag),
+            np.vdot(q_diag, row),
+            np.vdot(diag_sum, total),
+            np.vdot(row, row.transpose(0, 2, 1)),
+            np.vdot(diag_sum, diag_sum),
+            np.vdot(q, q.transpose(0, 3, 2, 1)),
         ]
     )
 
 
-def _k4_first_term_numpy(c: np.ndarray, w: np.ndarray) -> float:
-    """sum_j of the squared self-kernel integral for centered curves c."""
-    grams = np.matmul(c * w, c.transpose(0, 2, 1))
-    return float(np.einsum("jpq,jpq->", grams, grams))
+def k4_first_term(block: np.ndarray, p: int) -> float:
+    """sum_j of the squared self-kernel integral: the p x p diagonal blocks of ``block``."""
+    n = block.shape[0] // p
+    q_diag = np.einsum("jpjq->jpq", block.reshape(n, p, n, p))
+    return float(np.vdot(q_diag, q_diag))
 
 
-def _pair_trace_integrals_numpy(c1: np.ndarray, c2: np.ndarray, w: np.ndarray):
-    """Unnormalized between-group trace integrals from cross Gram blocks.
+def pair_trace_integrals(block: np.ndarray, p: int) -> tuple[float, float]:
+    """Unnormalized between-group trace integrals from a cross Gram block.
 
-    With X[j, j'] = int c1_j(t) c2_j'(t)^T dt the two returned values are
-    sum_{j,j'} ||X[j,j']||_F^2 and sum_{j,j'} tr(X[j,j'] X[j,j'])."""
-    n1, p, m = c1.shape
-    n2 = c2.shape[0]
-    x = ((c1.reshape(n1 * p, m) * w) @ c2.reshape(n2 * p, m).T).reshape(n1, p, n2, p)
-    i_val = float(np.einsum("ipjq,ipjq->", x, x))
-    t_val = float(np.einsum("ipjq,iqjp->", x, x))
-    return i_val, t_val
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @numba.njit(cache=True, nogil=True)
-    def _flat_gram(z1, z2, w):  # pragma: no cover - numba code
-        # (n1*p, n2*p) matrix of single-time integrals; entry ((a,h),(c,l))
-        # holds int w(t) z1[a,h,t] z2[c,l,t] dt. Contiguous reshape + BLAS.
-        n1, p, m = z1.shape
-        n2 = z2.shape[0]
-        flat1 = z1.copy().reshape(n1 * p, m)
-        flat2 = z2.copy().reshape(n2 * p, m)
-        for i in range(n1 * p):
-            for t in range(m):
-                flat1[i, t] *= w[t]
-        return flat1 @ flat2.T
-
-    @numba.njit(cache=True, nogil=True)
-    def _within_group_scalars_numba(z, w):  # pragma: no cover - numba code
-        n, p, m = z.shape
-        gram = _flat_gram(z, z, w)
-        row = np.zeros((n, p, p))
-        q_diag = np.empty((n, p, p))
-        for j in range(n):
-            for h in range(p):
-                for l in range(p):
-                    q_diag[j, h, l] = gram[j * p + h, j * p + l]
-                    acc = 0.0
-                    for c in range(n):
-                        acc += gram[j * p + h, c * p + l]
-                    row[j, h, l] = acc
-        total = np.zeros((p, p))
-        diag_sum = np.zeros((p, p))
-        for h in range(p):
-            for l in range(p):
-                for j in range(n):
-                    total[h, l] += row[j, h, l]
-                    diag_sum[h, l] += q_diag[j, h, l]
-        i_d2 = 0.0
-        i_f2x = 0.0
-        for a in range(n):
-            for c in range(n):
-                for h in range(p):
-                    for l in range(p):
-                        v = gram[a * p + h, c * p + l]
-                        i_d2 += v * v
-                        i_f2x += v * gram[a * p + l, c * p + h]
-        i_du = 0.0
-        i_e2 = 0.0
-        i_v = 0.0
-        i_w12 = 0.0
-        for j in range(n):
-            for h in range(p):
-                for l in range(p):
-                    i_du += row[j, h, l] * row[j, h, l]
-                    i_e2 += q_diag[j, h, l] * q_diag[j, h, l]
-                    i_v += q_diag[j, h, l] * row[j, h, l]
-                    i_w12 += row[j, h, l] * row[j, l, h]
-        i_u2 = 0.0
-        i_w = 0.0
-        i_f2 = 0.0
-        for h in range(p):
-            for l in range(p):
-                i_u2 += total[h, l] * total[h, l]
-                i_w += diag_sum[h, l] * total[h, l]
-                i_f2 += diag_sum[h, l] * diag_sum[h, l]
-        out = np.empty(9)
-        out[0] = i_d2
-        out[1] = i_du
-        out[2] = i_u2
-        out[3] = i_e2
-        out[4] = i_v
-        out[5] = i_w
-        out[6] = i_w12
-        out[7] = i_f2
-        out[8] = i_f2x
-        return out
-
-    @numba.njit(cache=True, nogil=True)
-    def _k4_first_term_numba(c, w):  # pragma: no cover - numba code
-        n, p, m = c.shape
-        total = 0.0
-        for j in range(n):
-            for h in range(p):
-                for l in range(h, p):
-                    acc = 0.0
-                    for t in range(m):
-                        acc += w[t] * c[j, h, t] * c[j, l, t]
-                    total += acc * acc if h == l else 2.0 * acc * acc
-        return total
-
-    @numba.njit(cache=True, nogil=True)
-    def _pair_trace_integrals_numba(c1, c2, w):  # pragma: no cover - numba code
-        x = _flat_gram(c1, c2, w)
-        n1, p, m = c1.shape
-        n2 = c2.shape[0]
-        i_val = 0.0
-        t_val = 0.0
-        for a in range(n1):
-            for c in range(n2):
-                for h in range(p):
-                    for l in range(p):
-                        v = x[a * p + h, c * p + l]
-                        i_val += v * v
-                        t_val += v * x[a * p + l, c * p + h]
-        return i_val, t_val
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-
-def within_group_scalars(z: np.ndarray, w: np.ndarray, backend: str | None = None) -> np.ndarray:
-    z = np.ascontiguousarray(z, dtype=np.float64)
-    w = np.ascontiguousarray(w, dtype=np.float64)
-    if resolve_backend(backend) == "numba":
-        return _within_group_scalars_numba(z, w)
-    return _within_group_scalars_numpy(z, w)
-
-
-def k4_first_term(c: np.ndarray, w: np.ndarray, backend: str | None = None) -> float:
-    c = np.ascontiguousarray(c, dtype=np.float64)
-    w = np.ascontiguousarray(w, dtype=np.float64)
-    if resolve_backend(backend) == "numba":
-        return float(_k4_first_term_numba(c, w))
-    return _k4_first_term_numpy(c, w)
-
-
-def pair_trace_integrals(
-    c1: np.ndarray, c2: np.ndarray, w: np.ndarray, backend: str | None = None
-) -> tuple[float, float]:
-    c1 = np.ascontiguousarray(c1, dtype=np.float64)
-    c2 = np.ascontiguousarray(c2, dtype=np.float64)
-    w = np.ascontiguousarray(w, dtype=np.float64)
-    if resolve_backend(backend) == "numba":
-        i_val, t_val = _pair_trace_integrals_numba(c1, c2, w)
-        return float(i_val), float(t_val)
-    return _pair_trace_integrals_numpy(c1, c2, w)
+    With X[j, j'] the (j, j') p x p block of ``block`` (shape (n1 p, n2 p)),
+    the two returned values are sum_{j,j'} ||X[j,j']||_F^2 and
+    sum_{j,j'} tr(X[j,j'] X[j,j'])."""
+    n1, n2 = block.shape[0] // p, block.shape[1] // p
+    x = np.ascontiguousarray(block).reshape(n1, p, n2, p)
+    return float(np.vdot(x, x)), float(np.vdot(x, x.transpose(0, 3, 2, 1)))

@@ -60,7 +60,7 @@ def cmd_test(args) -> int:
     except (InputError, OSError) as exc:
         return _fail(EXIT_INPUT, type(exc).__name__, str(exc))
     try:
-        report = run_glht(ds, spec, alpha=args.alpha, backend=args.backend)
+        report = run_glht(ds, spec, alpha=args.alpha)
     except InputError as exc:
         return _fail(EXIT_INPUT, type(exc).__name__, str(exc))
     except DegeneracyError as exc:
@@ -121,7 +121,7 @@ def cmd_simulate(args) -> int:
     results = []
     try:
         for cfg in configs:
-            results.append(size_power_study(cfg, threads=args.threads, backend=args.backend))
+            results.append(size_power_study(cfg, threads=args.threads))
     except MfdGlhtError as exc:
         code = EXIT_DEGENERATE if isinstance(exc, DegeneracyError) else EXIT_INPUT
         return _fail(code, type(exc).__name__, str(exc))
@@ -318,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="time domain bounds (uniform grid)",
     )
     p_test.add_argument("--out", required=True, help="output report JSON")
-    p_test.add_argument("--backend", default=None, choices=("numba", "numpy"))
     p_test.set_defaults(func=cmd_test)
 
     p_sim = sub.add_parser("simulate", help="run Monte Carlo size/power studies")
@@ -331,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker threads (default: MFD_GLHT_THREADS or all cores)",
     )
     p_sim.add_argument("--out", required=True, help="output rates CSV")
-    p_sim.add_argument("--backend", default=None, choices=("numba", "numpy"))
     p_sim.set_defaults(func=cmd_simulate)
 
     p_rep = sub.add_parser("report", help="render a results CSV as SVG or annotated CSV")

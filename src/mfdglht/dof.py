@@ -14,6 +14,15 @@ drop out exactly. Two interchangeable evaluation paths are provided:
   block Gram tensor, never touching 3- or 4-tuples. Cost is O(n^2 p^2 m)
   per group with O(n^2 p^2) memory.
 
+Every fast quantity is a reduction of one weighted Gram of the
+standardized curves, each group centered by its own mean (see
+``_kernels``). ``dof_estimates`` builds that Gram once for all groups;
+``ustat_within_fast``, ``k4_hat`` and ``cross_terms`` build it for one
+group or one pair and run the same block reductions. The distinct-tuple
+U-statistics are invariant to a common shift, so centering changes no
+exact value; it removes the cancellation that a large offset of the
+curves would otherwise cause.
+
 ``true_dof`` evaluates the same degrees-of-freedom formulas from known
 covariance structures, which simulation tests use as the ground truth.
 """
@@ -111,18 +120,54 @@ def _combine_scalars(scalars: np.ndarray, n: int) -> WithinGroupUStats:
     return WithinGroupUStats(float(i_hat), float(t_hat), float(tr2_hat))
 
 
+def _centered_gram(ds: FunctionalDataset, groups, omega: OmegaHat, w: QuadWeights):
+    """Weighted Gram of the standardized curves of ``groups``, each centered by its mean.
+
+    Rows run over (observation, component), group by group in the order
+    given. Returns the Gram, whose upper triangle alone is valid, and the
+    row offsets of the groups (one more than there are groups).
+    """
+    n_all = ds.n
+    sizes = [n_all[i] for i in groups]
+    sqrt_w = np.sqrt(w.weights)  # real: QuadWeights are nonnegative
+    z = np.empty((sum(sizes), ds.p, ds.m))
+    lo = 0
+    for i, size in zip(groups, sizes):
+        values = ds.group_values(i)
+        out = z[lo : lo + size]
+        # Center before standardizing: the products then never see a large offset.
+        np.matmul(omega.inv_sqrt, values - values.mean(axis=0), out=out)
+        out *= sqrt_w
+        lo += size
+    gram = _kernels.gram_upper(z.reshape(-1, ds.m))
+    return gram, ds.p * np.concatenate([[0], np.cumsum(sizes)])
+
+
+def _within_from_block(block: np.ndarray, n: int, p: int) -> WithinGroupUStats:
+    return _combine_scalars(_kernels.within_group_scalars(block, p), n)
+
+
+def _k4_from_block(block: np.ndarray, n: int, p: int, within: WithinGroupUStats) -> float:
+    first = _kernels.k4_first_term(block, p) / (n - 1)
+    return float(first - within.tr_sigma2_hat - within.i_hat - within.t_hat)
+
+
+def _cross_from_block(block: np.ndarray, n1: int, n2: int, p: int) -> tuple[float, float]:
+    i_val, t_val = _kernels.pair_trace_integrals(block, p)
+    scale = 1.0 / ((n1 - 1) * (n2 - 1))
+    return i_val * scale, t_val * scale
+
+
 def ustat_within_fast(
     ds: FunctionalDataset,
     i: int,
     omega: OmegaHat,
     w: QuadWeights,
-    backend: str | None = None,
 ) -> WithinGroupUStats:
     """Within-group trace functionals via the aggregate-kernel fast path."""
     n_i = _require_replication(ds, i)
-    z = _standardized(ds, i, omega)
-    scalars = _kernels.within_group_scalars(z, w.weights, backend=backend)
-    return _combine_scalars(scalars, n_i)
+    gram, bounds = _centered_gram(ds, (i,), omega, w)
+    return _within_from_block(_kernels.symmetric_block(gram, 0, bounds[1]), n_i, ds.p)
 
 
 def ustat_within_naive(
@@ -175,7 +220,6 @@ def k4_hat(
     omega: OmegaHat,
     w: QuadWeights,
     within: WithinGroupUStats,
-    backend: str | None = None,
 ) -> float:
     """Kurtosis functional estimate for group ``i``.
 
@@ -184,11 +228,8 @@ def k4_hat(
     subtracted.
     """
     n_i = _require_replication(ds, i)
-    values = ds.group_values(i)
-    centered = values - values.mean(axis=0)
-    c = np.einsum("pq,jqt->jpt", omega.inv_sqrt, centered)
-    first = _kernels.k4_first_term(c, w.weights, backend=backend) / (n_i - 1)
-    return float(first - within.tr_sigma2_hat - within.i_hat - within.t_hat)
+    gram, bounds = _centered_gram(ds, (i,), omega, w)
+    return _k4_from_block(_kernels.symmetric_block(gram, 0, bounds[1]), n_i, ds.p, within)
 
 
 def cross_terms(
@@ -197,7 +238,6 @@ def cross_terms(
     i2: int,
     omega: OmegaHat,
     w: QuadWeights,
-    backend: str | None = None,
 ) -> tuple[float, float]:
     """Between-group trace functionals (plug-in sample covariances).
 
@@ -206,21 +246,13 @@ def cross_terms(
     """
     if i1 == i2:
         raise ValidationError("cross terms need two distinct groups; use the within path")
-    centered = []
     for i in (i1, i2):
         if ds.n[i] < 2:
             raise InsufficientReplicationError(
                 f"group {i + 1} needs n >= 2 observations for cross terms"
             )
-        values = ds.group_values(i)
-        centered.append(
-            np.einsum("pq,jqt->jpt", omega.inv_sqrt, values - values.mean(axis=0))
-        )
-    i_val, t_val = _kernels.pair_trace_integrals(
-        centered[0], centered[1], w.weights, backend=backend
-    )
-    scale = 1.0 / ((ds.n[i1] - 1) * (ds.n[i2] - 1))
-    return i_val * scale, t_val * scale
+    gram, bounds = _centered_gram(ds, (i1, i2), omega, w)
+    return _cross_from_block(gram[: bounds[1], bounds[1] :], ds.n[i1], ds.n[i2], ds.p)
 
 
 def dof_estimates(
@@ -229,10 +261,10 @@ def dof_estimates(
     w: QuadWeights,
     glht: GlhtMatrices | None = None,
     method: str = "fast",
-    backend: str | None = None,
 ) -> DofEstimate:
     """Estimated degrees of freedom for the hypothesis and error matrices.
 
+    Every group and pair reads its blocks of one Gram of all the curves.
     Each group's bracketed denominator contribution estimates a variance
     and is clamped at zero from below; clamping is reported per group in
     the result's diagnostics.
@@ -244,17 +276,20 @@ def dof_estimates(
     if glht is None:
         glht = build_glht(ds, spec, w)
     omega, hn = glht.omega, glht.hn
-    n = np.asarray(ds.n, dtype=np.float64)
+    sizes = ds.n
+    n = np.asarray(sizes, dtype=np.float64)
     k = ds.k
     p = ds.p
+    gram, bounds = _centered_gram(ds, range(k), omega, w)
 
     within = []
     for i in range(k):
+        block = _kernels.symmetric_block(gram, bounds[i], bounds[i + 1])
         if method == "fast":
-            stats = ustat_within_fast(ds, i, omega, w, backend=backend)
+            stats = _within_from_block(block, sizes[i], p)
         else:
             stats = ustat_within_naive(ds, i, omega, w)
-        within.append(stats.with_k4(k4_hat(ds, i, omega, w, stats, backend=backend)))
+        within.append(stats.with_k4(_k4_from_block(block, sizes[i], p, stats)))
 
     i_cross = np.zeros((k, k))
     t_cross = np.zeros((k, k))
@@ -263,7 +298,8 @@ def dof_estimates(
         t_cross[i, i] = within[i].t_hat
     for i1 in range(k):
         for i2 in range(i1 + 1, k):
-            iv, tv = cross_terms(ds, i1, i2, omega, w, backend=backend)
+            block = gram[bounds[i1] : bounds[i1 + 1], bounds[i2] : bounds[i2 + 1]]
+            iv, tv = _cross_from_block(block, sizes[i1], sizes[i2], p)
             i_cross[i1, i2] = i_cross[i2, i1] = iv
             t_cross[i1, i2] = t_cross[i2, i1] = tv
 

@@ -345,15 +345,13 @@ def gen_sample(cfg: SimConfig, seed) -> FunctionalDataset:
     return sample_curves(means, lambdas, basis, cfg.n, cfg.model, rng)
 
 
-def _study_replication(cfg: SimConfig, spec: ContrastSpec, rep: int, backend):
+def _study_replication(cfg: SimConfig, spec: ContrastSpec, rep: int):
     ds = gen_sample(cfg, [cfg.seed, rep])
-    report = run_glht(ds, spec, alpha=cfg.alpha, backend=backend)
+    report = run_glht(ds, spec, alpha=cfg.alpha)
     return {name: report.decisions[name] for name in STATISTIC_NAMES}
 
 
-def size_power_study(
-    cfg: SimConfig, threads: int | None = None, backend: str | None = None
-) -> StudyResult:
+def size_power_study(cfg: SimConfig, threads: int | None = None) -> StudyResult:
     """Empirical rejection rates over ``cfg.reps`` independent replications.
 
     Replications that fail with a numerical degeneracy are counted as
@@ -368,7 +366,7 @@ def size_power_study(
 
     def run_one(rep: int):
         try:
-            return _study_replication(cfg, spec, rep, backend)
+            return _study_replication(cfg, spec, rep)
         except DegeneracyError as exc:
             return exc
 
@@ -424,7 +422,6 @@ def permutation_pvalue(
     statistic: str = "mfp",
     b: int = 199,
     seed: int = 0,
-    backend: str | None = None,
 ) -> float:
     """Label-permutation p-value for one of the three statistics.
 
@@ -443,7 +440,7 @@ def permutation_pvalue(
 
     def stat_value(dataset: FunctionalDataset) -> float:
         glht = build_glht(dataset, spec, w)
-        dof = dof_estimates(dataset, spec, w, glht=glht, backend=backend)
+        dof = dof_estimates(dataset, spec, w, glht=glht)
         stats = statistics(dof.d_b * glht.bn, dof.d_e * glht.en)
         return _evidence(statistic, stats)
 

@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from mfdglht import SimConfig, _kernels, gen_sample, write_csv
+from mfdglht import SimConfig, gen_sample, write_csv
 from mfdglht.cli import main
 
 
@@ -73,30 +73,16 @@ def test_cmd_test_degenerate_data_exit_3(tmp_path, capsys):
     assert "error" in json.loads(out.read_text())
 
 
-@pytest.mark.skipif(_kernels.HAVE_NUMBA, reason="numba is importable")
-def test_forced_numba_backend_without_numba_exit_2(tmp_path, capsys):
-    data = tmp_path / "data.csv"
-    contrast = tmp_path / "c.csv"
-    out = tmp_path / "report.json"
-    write_dataset(data)
-    write_oneway_contrast(contrast)
-    code = main(
-        ["test", "--data", str(data), "--contrast", str(contrast), "--out", str(out),
-         "--backend", "numba"]
-    )
-    assert code == 2
-    payload = json.loads(capsys.readouterr().err.strip())
-    assert payload["error"] == "InputError"
-    assert "numba" in payload["message"]
-
-    config = tmp_path / "sim.json"
-    config.write_text(json.dumps({"model": 1, "n": [5, 5, 5, 5], "rho": 0.5, "reps": 2, "seed": 8}))
-    code = main(
-        ["simulate", "--config", str(config), "--out", str(tmp_path / "a.csv"),
-         "--threads", "1", "--backend", "numba"]
-    )
-    assert code == 2
-    assert json.loads(capsys.readouterr().err.strip())["error"] == "InputError"
+@pytest.mark.parametrize("command", ["test", "simulate"])
+def test_backend_option_is_gone(command, tmp_path, capsys):
+    argv = {
+        "test": ["test", "--data", "d.csv", "--contrast", "c.csv", "--out", "r.json"],
+        "simulate": ["simulate", "--config", "s.json", "--out", "a.csv"],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--backend", "numpy"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --backend" in capsys.readouterr().err
 
 
 def test_cmd_simulate_and_report(tmp_path):

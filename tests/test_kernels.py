@@ -6,61 +6,86 @@ import pytest
 from mfdglht import _kernels
 from mfdglht.dataset import FunctionalDataset, GroupSample
 from mfdglht.dof import ustat_within_fast
-from mfdglht.errors import InputError
 from mfdglht.grid import make_uniform_grid, quad_weights
 from mfdglht.moments import OmegaHat
 
-needs_numba = pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba is not importable")
+
+def brute_gram(z, w):
+    """Full weighted Gram of curves z (n, p, m), shape (n p, n p), by einsum."""
+    n, p, m = z.shape
+    return np.einsum("apt,cqt,t->apcq", z, z, w).reshape(n * p, n * p)
 
 
-@needs_numba
+def test_gram_upper_fills_only_the_upper_triangle():
+    rng = np.random.default_rng(1)
+    a = rng.normal(size=(13, 7))
+    gram = _kernels.gram_upper(a)
+    full = np.einsum("it,jt->ij", a, a)
+    upper = np.triu_indices(13)
+    assert np.allclose(gram[upper], full[upper], rtol=1e-13, atol=1e-13)
+    assert np.all(np.tril(gram, -1) == 0.0)
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 4), (4, 13), (2, 9), (0, 13)])
+def test_symmetric_block_matches_full_gram(lo, hi):
+    rng = np.random.default_rng(2)
+    a = rng.normal(size=(13, 5))
+    block = _kernels.symmetric_block(_kernels.gram_upper(a), lo, hi)
+    full = np.einsum("it,jt->ij", a, a)
+    assert np.allclose(block, full[lo:hi, lo:hi], rtol=1e-13, atol=1e-13)
+    assert np.array_equal(block, block.T)
+
+
 @pytest.mark.parametrize("shape", [(4, 1, 3), (8, 3, 12), (15, 6, 20)])
-def test_within_scalars_backends_agree(shape):
-    rng = np.random.default_rng(hash(shape) % 2**32)
+def test_within_group_scalars_brute_force(shape):
+    rng = np.random.default_rng(sum(shape))
     z = rng.normal(size=shape)
     w = rng.uniform(0.05, 1.0, size=shape[2])
-    a = _kernels.within_group_scalars(z, w, backend="numpy")
-    b = _kernels.within_group_scalars(z, w, backend="numba")
-    assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
+    q = np.einsum("apt,cqt,t->apcq", z, z, w)
+    q_diag = np.einsum("jpjq->jpq", q)
+    row = np.einsum("jpcq->jpq", q)
+    total = np.einsum("jpcq->pq", q)
+    diag_sum = np.einsum("jpjq->pq", q)
+    expected = [
+        np.einsum("apcq,apcq->", q, q),
+        np.einsum("jpq,jpq->", row, row),
+        np.einsum("pq,pq->", total, total),
+        np.einsum("jpq,jpq->", q_diag, q_diag),
+        np.einsum("jpq,jpq->", q_diag, row),
+        np.einsum("pq,pq->", diag_sum, total),
+        np.einsum("jpq,jqp->", row, row),
+        np.einsum("pq,pq->", diag_sum, diag_sum),
+        np.einsum("jpcq,jqcp->", q, q),
+    ]
+    got = _kernels.within_group_scalars(brute_gram(z, w), shape[1])
+    assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
 
 
-@needs_numba
-def test_k4_first_term_backends_agree():
-    rng = np.random.default_rng(2)
+def test_k4_first_term_brute_force():
+    rng = np.random.default_rng(3)
     c = rng.normal(size=(9, 4, 11))
     w = rng.uniform(0.05, 1.0, size=11)
-    a = _kernels.k4_first_term(c, w, backend="numpy")
-    b = _kernels.k4_first_term(c, w, backend="numba")
-    assert a == pytest.approx(b, rel=1e-12)
+    expected = sum(
+        float(np.sum(np.einsum("pt,qt,t->pq", cj, cj, w) ** 2)) for cj in c
+    )
+    got = _kernels.k4_first_term(brute_gram(c, w), 4)
+    assert got == pytest.approx(expected, rel=1e-12)
 
 
-@needs_numba
-def test_pair_trace_integrals_backends_agree():
-    rng = np.random.default_rng(3)
+def test_pair_trace_integrals_brute_force_from_upper_block():
+    rng = np.random.default_rng(4)
     c1 = rng.normal(size=(6, 3, 9))
     c2 = rng.normal(size=(8, 3, 9))
     w = rng.uniform(0.05, 1.0, size=9)
-    a = _kernels.pair_trace_integrals(c1, c2, w, backend="numpy")
-    b = _kernels.pair_trace_integrals(c1, c2, w, backend="numba")
-    assert np.allclose(a, b, rtol=1e-12)
-
-
-def test_resolve_backend_env(monkeypatch):
-    monkeypatch.setenv("MFD_GLHT_BACKEND", "numpy")
-    assert _kernels.resolve_backend() == "numpy"
-    monkeypatch.setenv("MFD_GLHT_BACKEND", "numba")
-    if _kernels.HAVE_NUMBA:
-        assert _kernels.resolve_backend() == "numba"
-    else:
-        with pytest.raises(InputError, match="numba is not importable"):
-            _kernels.resolve_backend()
-    monkeypatch.setenv("MFD_GLHT_BACKEND", "auto")
-    assert _kernels.resolve_backend() in ("numba", "numpy")
-    monkeypatch.setenv("MFD_GLHT_BACKEND", "nonsense")
-    with pytest.raises(ValueError):
-        _kernels.resolve_backend()
-    monkeypatch.delenv("MFD_GLHT_BACKEND")
-    assert _kernels.resolve_backend("numpy") == "numpy"
+    x = np.einsum("ipt,jqt,t->ipjq", c1, c2, w)
+    i_ref = float(np.einsum("ipjq,ipjq->", x, x))
+    t_ref = float(np.einsum("ipjq,iqjp->", x, x))
+    # The cross block as the dof path reads it: the upper side of one Gram.
+    pooled = np.concatenate([c1, c2]) * np.sqrt(w)
+    gram = _kernels.gram_upper(pooled.reshape(-1, 9))
+    i_val, t_val = _kernels.pair_trace_integrals(gram[:18, 18:], 3)
+    assert i_val == pytest.approx(i_ref, rel=1e-12)
+    assert t_val == pytest.approx(t_ref, rel=1e-12)
 
 
 def test_fast_path_timing_contract():
@@ -72,7 +97,7 @@ def test_fast_path_timing_contract():
     w = quad_weights(grid)
     eye = np.eye(p)
     omega = OmegaHat(eye, eye, eye)
-    ustat_within_fast(ds, 0, omega, w)  # warm any JIT compilation
+    ustat_within_fast(ds, 0, omega, w)  # warm-up call
     start = time.perf_counter()
     ustat_within_fast(ds, 0, omega, w)
     elapsed = time.perf_counter() - start
