@@ -121,7 +121,7 @@ def cmd_simulate(args) -> int:
     results = []
     try:
         for cfg in configs:
-            results.append(size_power_study(cfg, threads=args.threads))
+            results.append(size_power_study(cfg))
     except MfdGlhtError as exc:
         code = EXIT_DEGENERATE if isinstance(exc, DegeneracyError) else EXIT_INPUT
         return _fail(code, type(exc).__name__, str(exc))
@@ -324,11 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--config", required=True, help="simulation config JSON")
     p_sim.add_argument("--reps", type=int, default=None, help="override replication count")
     p_sim.add_argument("--seed", type=int, default=None, help="override master seed")
-    p_sim.add_argument(
-        "--threads", type=int,
-        default=int(os.environ.get("MFD_GLHT_THREADS", "0")) or None,
-        help="worker threads (default: MFD_GLHT_THREADS or all cores)",
-    )
     p_sim.add_argument("--out", required=True, help="output rates CSV")
     p_sim.set_defaults(func=cmd_simulate)
 

@@ -301,14 +301,13 @@ def run_glht(
     ds: FunctionalDataset,
     spec: ContrastSpec,
     alpha: float = 0.05,
-    method: str = "fast",
 ) -> TestReport:
     """Run all three tests end to end on one dataset and contrast."""
     if not (0.0 < alpha < 1.0):
         raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
     w = quad_weights(ds.grid)
     glht = build_glht(ds, spec, w)
-    dof = dof_estimates(ds, spec, w, glht=glht, method=method)
+    dof = dof_estimates(ds, spec, w, glht=glht)
     m1 = dof.d_b * glht.bn
     m2 = dof.d_e * glht.en
     stats = statistics(m1, m2)

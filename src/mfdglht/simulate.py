@@ -8,17 +8,15 @@ of freedom, centered scaled chi-square with 4 degrees of freedom), all
 driven by a single seeded normal stream so that every replication is
 exactly reproducible.
 
-Study runs are deterministic regardless of worker count: replication
-``r`` of a study with master seed ``s`` always uses the stream seeded by
-``SeedSequence([s, r])``, and results are reduced in replication order.
+A study runs its replications in order, and replication ``r`` of a study
+with master seed ``s`` always uses the stream seeded by
+``SeedSequence([s, r])``, so a study is reproducible from its master seed.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -345,47 +343,26 @@ def gen_sample(cfg: SimConfig, seed) -> FunctionalDataset:
     return sample_curves(means, lambdas, basis, cfg.n, cfg.model, rng)
 
 
-def _study_replication(cfg: SimConfig, spec: ContrastSpec, rep: int):
-    ds = gen_sample(cfg, [cfg.seed, rep])
-    report = run_glht(ds, spec, alpha=cfg.alpha)
-    return {name: report.decisions[name] for name in STATISTIC_NAMES}
-
-
-def size_power_study(cfg: SimConfig, threads: int | None = None) -> StudyResult:
+def size_power_study(cfg: SimConfig) -> StudyResult:
     """Empirical rejection rates over ``cfg.reps`` independent replications.
 
-    Replications that fail with a numerical degeneracy are counted as
-    errored and excluded from the rate denominator, never silently
-    dropped. The result is identical for any worker count.
+    Replication ``r`` always draws its dataset from
+    ``SeedSequence([cfg.seed, r])``. Replications that fail with a
+    numerical degeneracy are counted as errored and excluded from the rate
+    denominator, never silently dropped.
     """
     spec = cfg.contrast_spec()
-    if threads is None:
-        threads = int(os.environ.get("MFD_GLHT_THREADS", "0")) or (os.cpu_count() or 1)
     start = time.perf_counter()
-    outcomes: list = [None] * cfg.reps
-
-    def run_one(rep: int):
-        try:
-            return _study_replication(cfg, spec, rep)
-        except DegeneracyError as exc:
-            return exc
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for rep, outcome in enumerate(pool.map(run_one, range(cfg.reps))):
-                outcomes[rep] = outcome
-    else:
-        for rep in range(cfg.reps):
-            outcomes[rep] = run_one(rep)
-
     rejections = {name: 0 for name in STATISTIC_NAMES}
     errored = 0
-    for outcome in outcomes:
-        if isinstance(outcome, Exception):
+    for rep in range(cfg.reps):
+        try:
+            report = run_glht(gen_sample(cfg, [cfg.seed, rep]), spec, alpha=cfg.alpha)
+        except DegeneracyError:
             errored += 1
             continue
         for name in STATISTIC_NAMES:
-            rejections[name] += bool(outcome[name])
+            rejections[name] += report.decisions[name]
     return StudyResult(
         config=cfg,
         rejections=rejections,

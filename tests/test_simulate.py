@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from mfdglht import (
+    DegeneracyError,
+    DegenerateDofError,
     InputError,
     SimConfig,
     are_metric,
@@ -12,9 +14,12 @@ from mfdglht import (
     make_uniform_grid,
     permutation_pvalue,
     quad_weights,
+    run_glht,
     sample_curves,
     size_power_study,
 )
+from mfdglht import simulate
+from mfdglht.fstats import STATISTIC_NAMES
 from mfdglht.glht import ContrastSpec, oneway_contrast
 from mfdglht.simulate import (
     component_weights,
@@ -138,17 +143,70 @@ def test_sample_curves_shapes_and_means():
 
 def test_size_power_study_single_rep_rate_in_0_or_100():
     cfg = SimConfig(n=(5, 5, 5, 5), rho=0.5, model=1, reps=1, seed=3)
-    res = size_power_study(cfg, threads=1)
+    res = size_power_study(cfg)
     for name in ("mfw", "mflh", "mfp"):
         assert res.rate_percent(name) in (0.0, 100.0)
 
 
-def test_size_power_study_thread_count_invariance():
-    cfg = SimConfig(n=(5, 5, 5, 5), rho=0.5, model=1, reps=6, seed=4)
-    r1 = size_power_study(cfg, threads=1)
-    r2 = size_power_study(cfg, threads=2)
-    assert r1.rejections == r2.rejections
-    assert r1.errored == r2.errored
+STUDY_CFG = SimConfig(n=(5, 5, 5, 5), rho=0.5, model=1, reps=6, seed=4)
+
+
+def test_size_power_study_matches_per_replication_seeds():
+    # Replication r draws from SeedSequence([seed, r]); nothing else feeds it.
+    res = size_power_study(STUDY_CFG)
+    spec = STUDY_CFG.contrast_spec()
+    rejections = dict.fromkeys(STATISTIC_NAMES, 0)
+    errored = 0
+    for rep in range(STUDY_CFG.reps):
+        ds = gen_sample(STUDY_CFG, [STUDY_CFG.seed, rep])
+        try:
+            decisions = run_glht(ds, spec, alpha=STUDY_CFG.alpha).decisions
+        except DegeneracyError:
+            errored += 1
+            continue
+        for name in STATISTIC_NAMES:
+            rejections[name] += decisions[name]
+    assert res.rejections == rejections
+    assert res.errored == errored
+    assert res.completed == STUDY_CFG.reps - errored
+
+
+def test_size_power_study_errored_replication_accounting(monkeypatch):
+    seen = []
+    rejections = dict.fromkeys(STATISTIC_NAMES, 0)
+
+    def failing_on(errors):
+        def fake_run_glht(ds, spec, alpha):
+            rep = len(seen)
+            seen.append(rep)
+            if rep in errors:
+                raise errors[rep](f"forced on replication {rep}")
+            report = run_glht(ds, spec, alpha=alpha)
+            for name in STATISTIC_NAMES:
+                rejections[name] += report.decisions[name]
+            return report
+
+        return fake_run_glht
+
+    # Degeneracies are counted as errored and leave the rate denominator.
+    monkeypatch.setattr(
+        simulate, "run_glht", failing_on({1: DegenerateDofError, 4: DegenerateDofError})
+    )
+    res = size_power_study(STUDY_CFG)
+    assert seen == list(range(6))
+    assert res.errored == 2
+    assert res.completed == 4
+    assert res.rejections == rejections
+    assert any(rejections.values())  # so the denominator shows in the rates
+    for name in STATISTIC_NAMES:
+        assert res.rate_percent(name) == 100.0 * rejections[name] / 4
+
+    # Any other library error ends the study.
+    seen.clear()
+    monkeypatch.setattr(simulate, "run_glht", failing_on({2: InputError}))
+    with pytest.raises(InputError, match="forced on replication 2"):
+        size_power_study(STUDY_CFG)
+    assert seen == [0, 1, 2]
 
 
 def test_are_metric_values():
