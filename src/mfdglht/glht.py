@@ -10,14 +10,12 @@ integrated covariance), whose expectations match under the null.
 
 from __future__ import annotations
 
-import io
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
-from .dataset import FunctionalDataset
+from .dataset import FunctionalDataset, _cell_label, _read_rows
 from .errors import ContrastRankError, IngestionError, ValidationError
 from .grid import QuadWeights
 from .moments import MeanFunctions, OmegaHat, group_means, omega_hat, sigma_hat
@@ -157,92 +155,46 @@ def build_glht(ds: FunctionalDataset, spec: ContrastSpec, w: QuadWeights) -> Glh
     return GlhtMatrices(hn=hn, bn=bn, en=en, omega=omega, dn_diag=1.0 / n)
 
 
-def _open_text(source):
-    if isinstance(source, str) and "\n" in source:
-        return io.StringIO(source), False
-    if isinstance(source, (str, os.PathLike)):
-        return open(source, "r", encoding="utf-8"), True
-    return source, False
+CONTRAST_HEADER = ("row", "col", "value")
+C0_HEADER = ("row", "component", "time_index", "value")
+
+
+def _field_count_fault(line: str, line_no: int, header: tuple[str, ...]) -> str | None:
+    """Name a wrong field count; the reader reports any other fault as a malformed row."""
+    if len(line.split(",")) != len(header):
+        return f"line {line_no}: expected {len(header)} fields"
+    return None
+
+
+def _reject_duplicates(cells: np.ndarray, header: tuple[str, ...]) -> None:
+    unique, counts = np.unique(cells, axis=0, return_counts=True)
+    if np.any(counts > 1):
+        raise IngestionError(f"duplicate cell {_cell_label(header, unique[counts > 1][0])}")
 
 
 def load_contrast_csv(source) -> np.ndarray:
     """Read a contrast matrix from CSV with header ``row,col,value`` (1-based)."""
-    fh, owned = _open_text(source)
-    try:
-        cells: dict[tuple[int, int], float] = {}
-        header_seen = False
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [part.strip() for part in line.split(",")]
-            if not header_seen:
-                if tuple(part.lower() for part in parts) != ("row", "col", "value"):
-                    raise IngestionError(f"line {line_no}: expected header 'row,col,value'")
-                header_seen = True
-                continue
-            if len(parts) != 3:
-                raise IngestionError(f"line {line_no}: expected 3 fields")
-            try:
-                r, c_idx, value = int(parts[0]), int(parts[1]), float(parts[2])
-            except ValueError:
-                raise IngestionError(f"line {line_no}: malformed row") from None
-            if (r, c_idx) in cells:
-                raise IngestionError(f"duplicate cell (row={r}, col={c_idx})")
-            cells[(r, c_idx)] = value
-        if not cells:
-            raise IngestionError("contrast file has no data rows")
-        q = max(key[0] for key in cells)
-        k = max(key[1] for key in cells)
-        c = np.zeros((q, k))
-        for (r, c_idx), value in cells.items():
-            c[r - 1, c_idx - 1] = value
-        return c
-    finally:
-        if owned:
-            fh.close()
+    cells, values = _read_rows(source, CONTRAST_HEADER, _field_count_fault)
+    if not len(values):
+        raise IngestionError("contrast file has no data rows")
+    _reject_duplicates(cells, CONTRAST_HEADER)
+    c = np.zeros(cells.max(axis=0))
+    c[tuple((cells - 1).T)] = values
+    return c
 
 
 def load_c0_csv(source, p: int, m: int) -> np.ndarray:
     """Read C0 curves from CSV with header ``row,component,time_index,value``."""
-    fh, owned = _open_text(source)
-    try:
-        cells: dict[tuple[int, int, int], float] = {}
-        header_seen = False
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [part.strip() for part in line.split(",")]
-            if not header_seen:
-                expected = ("row", "component", "time_index", "value")
-                if tuple(part.lower() for part in parts) != expected:
-                    raise IngestionError(
-                        f"line {line_no}: expected header 'row,component,time_index,value'"
-                    )
-                header_seen = True
-                continue
-            if len(parts) != 4:
-                raise IngestionError(f"line {line_no}: expected 4 fields")
-            try:
-                r, ci, ti, value = int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3])
-            except ValueError:
-                raise IngestionError(f"line {line_no}: malformed row") from None
-            if (r, ci, ti) in cells:
-                raise IngestionError(f"duplicate cell (row={r}, component={ci}, time_index={ti})")
-            cells[(r, ci, ti)] = value
-        if not cells:
-            raise IngestionError("C0 file has no data rows")
-        q = max(key[0] for key in cells)
-        c0 = np.zeros((q, p, m))
-        for (r, ci, ti), value in cells.items():
-            if ci > p or ti > m:
-                raise IngestionError(
-                    f"C0 cell (row={r}, component={ci}, time_index={ti}) outside "
-                    f"dataset shape (p={p}, m={m})"
-                )
-            c0[r - 1, ci - 1, ti - 1] = value
-        return c0
-    finally:
-        if owned:
-            fh.close()
+    cells, values = _read_rows(source, C0_HEADER, _field_count_fault)
+    if not len(values):
+        raise IngestionError("C0 file has no data rows")
+    _reject_duplicates(cells, C0_HEADER)
+    outside = np.flatnonzero((cells[:, 1] > p) | (cells[:, 2] > m))
+    if outside.size:
+        raise IngestionError(
+            f"C0 cell {_cell_label(C0_HEADER, cells[outside[0]])} outside "
+            f"dataset shape (p={p}, m={m})"
+        )
+    c0 = np.zeros((cells[:, 0].max(), p, m))
+    c0[tuple((cells - 1).T)] = values
+    return c0

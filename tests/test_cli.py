@@ -164,6 +164,21 @@ def test_cmd_test_with_c0_file(tmp_path):
     assert report["statistics"]["mflh"] != other["statistics"]["mflh"]
 
 
+@pytest.mark.parametrize("bad", ["data", "contrast", "c0"])
+def test_cmd_test_non_utf8_file_exit_2(bad, tmp_path, capsys):
+    files = {name: tmp_path / f"{name}.csv" for name in ("data", "contrast", "c0")}
+    write_dataset(files["data"])
+    write_oneway_contrast(files["contrast"])
+    files["c0"].write_text("row,component,time_index,value\n1,1,1,0.25\n2,1,1,0.0\n3,1,1,0.0\n")
+    text = files[bad].read_bytes()
+    files[bad].write_bytes(text[: len(text) // 2] + b"\xff" + text[len(text) // 2 :])
+    args = ["test", "--data", str(files["data"]), "--contrast", str(files["contrast"])]
+    args += ["--c0", str(files["c0"]), "--out", str(tmp_path / "report.json")]
+    assert main(args) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": "IngestionError", "message": "file is not valid UTF-8: invalid start byte"}
+
+
 def test_cmd_simulate_same_seed_byte_identical(tmp_path):
     config = tmp_path / "sim.json"
     config.write_text(

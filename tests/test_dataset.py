@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfdglht import (
     FunctionalDataset,
@@ -98,3 +100,301 @@ def test_dataset_rejects_grid_mismatch():
     grid = make_uniform_grid(3, 0.0, 1.0)
     with pytest.raises(ValidationError, match="time grid mismatch"):
         FunctionalDataset(grid, (GroupSample(np.zeros((1, 1, 4))),))
+
+
+# --- ingestion errors: one fault per file, exact message, physical line ---
+
+HEADER = "group,obs,component,time_index,value"
+INDEX_NAMES = ("group", "obs", "component", "time_index")
+# Lines the loader skips: blank, whitespace-only, and comments (indented too).
+SKIPPED_LINES = ["", "   ", "\t ", "  # indented comment", "# comment"]
+
+
+def cell_rows(k=2, n=2, p=2, m=2):
+    """Rows of a complete dataset; every value is distinct."""
+    rows = []
+    for g in range(1, k + 1):
+        for o in range(1, n + 1):
+            for c in range(1, p + 1):
+                for t in range(1, m + 1):
+                    rows.append(f"{g},{o},{c},{t},{len(rows) + 1}.25")
+    return rows
+
+
+def layout(rows):
+    """A file with a leading comment, then the header, the first data row,
+    every kind of skipped line, and the remaining rows."""
+    lines = ["# leading comment", "", HEADER, rows[0], *SKIPPED_LINES, *rows[1:]]
+    return "\n".join(lines) + "\n"
+
+
+def line_of(text, row):
+    lines = text.split("\n")
+    assert lines.count(row) == 1
+    return lines.index(row) + 1
+
+
+def ingestion_message(text, **kwargs):
+    with pytest.raises(IngestionError) as info:
+        load_csv(text, **kwargs)
+    return str(info.value)
+
+
+def with_field(row, index, raw):
+    parts = row.split(",")
+    parts[index] = raw
+    return ",".join(parts)
+
+
+FAULT_AT = 9  # the row replaced by a faulty one lies after every skipped line
+
+
+def test_skipped_lines_are_accepted():
+    ds = load_csv(layout(cell_rows()))
+    assert ds.n == (2, 2) and ds.p == 2 and ds.m == 2
+    assert ds.group_values(0)[0, 0].tolist() == [1.25, 2.25]
+    assert ds.group_values(1)[1, 1].tolist() == [15.25, 16.25]
+
+
+@pytest.mark.parametrize("bad", ["1,1,1,1", "2,1,1,2,0.5,7", "2,1,1,2,0.5,"])
+def test_wrong_field_count_names_line(bad):
+    rows = cell_rows()
+    rows[FAULT_AT] = bad
+    text = layout(rows)
+    assert ingestion_message(text) == (
+        f"line {line_of(text, bad)}: expected 5 fields, got {len(bad.split(','))}"
+    )
+
+
+@pytest.mark.parametrize("raw", ["1.0", "x"])
+@pytest.mark.parametrize("column", range(4))
+def test_non_integer_index_names_line(column, raw):
+    rows = cell_rows()
+    bad = with_field(rows[FAULT_AT], column, raw)
+    rows[FAULT_AT] = bad
+    text = layout(rows)
+    assert ingestion_message(text) == (
+        f"line {line_of(text, bad)}: {INDEX_NAMES[column]} {raw!r} is not an integer"
+    )
+
+
+@pytest.mark.parametrize("raw", ["0", "-1"])
+@pytest.mark.parametrize("column", range(4))
+def test_index_below_one_names_line(column, raw):
+    rows = cell_rows()
+    bad = with_field(rows[FAULT_AT], column, raw)
+    rows[FAULT_AT] = bad
+    text = layout(rows)
+    assert ingestion_message(text) == (
+        f"line {line_of(text, bad)}: {INDEX_NAMES[column]} must be >= 1, got {int(raw)}"
+    )
+
+
+@pytest.mark.parametrize("raw", ["abc", "", "0.5 # note"])
+def test_non_numeric_value_names_line(raw):
+    rows = cell_rows()
+    bad = with_field(rows[FAULT_AT], 4, raw)
+    rows[FAULT_AT] = bad
+    text = layout(rows)
+    assert ingestion_message(text) == f"line {line_of(text, bad)}: value {raw!r} is not a number"
+
+
+def test_trailing_comment_is_rejected():
+    rows = cell_rows()
+    bad = rows[FAULT_AT] + " # note"
+    rows[FAULT_AT] = bad
+    text = layout(rows)
+    value = bad.split(",")[4]
+    assert ingestion_message(text) == f"line {line_of(text, bad)}: value {value!r} is not a number"
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+def test_non_finite_value_names_cell(raw):
+    rows = cell_rows()
+    rows[FAULT_AT] = with_field(rows[FAULT_AT], 4, raw)
+    g, o, c, t = rows[FAULT_AT].split(",")[:4]
+    assert ingestion_message(layout(rows)) == (
+        f"non-finite value at (group={g}, obs={o}, component={c}, time_index={t})"
+    )
+
+
+def test_duplicate_cell_named():
+    rows = cell_rows()
+    rows.append(with_field(rows[FAULT_AT], 4, "99.5"))
+    g, o, c, t = rows[FAULT_AT].split(",")[:4]
+    assert ingestion_message(layout(rows)) == (
+        f"duplicate cell (group={g}, obs={o}, component={c}, time_index={t})"
+    )
+
+
+@pytest.mark.parametrize("first", ["1,1,1,1,0.5", "group,obs,component,time,value"])
+def test_missing_header_names_line(first):
+    text = "# comment\n\n   \n" + first + "\n"
+    assert ingestion_message(text) == (
+        "line 4: expected header 'group,obs,component,time_index,value'"
+    )
+
+
+@pytest.mark.parametrize("text", ["", "\n", "# only a comment\n  \n\t\n"])
+def test_file_without_header(text):
+    assert ingestion_message(io.StringIO(text)) == "empty file: missing header"
+
+
+def test_file_without_data_rows():
+    assert ingestion_message("# c\n" + HEADER + "\n\n  # c\n") == "no data rows"
+
+
+def test_gap_in_group_numbering():
+    rows = [row.replace("2,", "3,", 1) if row.startswith("2,") else row for row in cell_rows()]
+    assert ingestion_message(layout(rows)) == "group 2 has no rows (groups must be numbered 1..k)"
+
+
+def test_single_missing_cell_named():
+    rows = cell_rows()
+    dropped = rows.pop(FAULT_AT)  # 2,1,1,2
+    g, o, c, t = dropped.split(",")[:4]
+    assert ingestion_message(layout(rows)) == (
+        f"missing cell (group={g}, obs={o}, component={c}, time_index={t})"
+    )
+
+
+def test_first_missing_cell_named():
+    rows = cell_rows(k=2, n=3, p=2, m=3)
+    # Cells dropped in file order, the group-2 cell first: the message names
+    # the first missing cell in (group, obs, component, time) order.
+    drop = ["2,1,1,1", "1,2,2,1", "1,2,1,3"]
+    rows = [row for row in rows if row.rsplit(",", 1)[0] not in drop]
+    rows = rows[::-1]
+    assert ingestion_message(layout(rows)) == (
+        "missing cell (group=1, obs=2, component=1, time_index=3)"
+    )
+
+
+def test_component_count_mismatch_named():
+    rows = cell_rows() + [f"2,{o},3,{t},0.5" for o in (1, 2) for t in (1, 2)]
+    assert ingestion_message(layout(rows)) == (
+        "component count mismatch: group 2 has p=3, group 1 has p=2"
+    )
+
+
+def test_grid_length_mismatch():
+    text = layout(cell_rows())
+    assert ingestion_message(text, grid=make_uniform_grid(3, 0.0, 1.0)) == (
+        "grid has 3 points but file uses time_index up to 2"
+    )
+
+
+def test_single_time_point_is_an_ingestion_error():
+    text = make_csv(["1,1,1,1,0.5", "1,2,1,1,0.25"])
+    assert ingestion_message(text) == "file uses time_index up to 1; a grid needs at least 2 points"
+
+
+def test_non_utf8_file_is_an_ingestion_error(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(layout(cell_rows()).encode().replace(b"3.25", b"3.\xff5"))
+    assert ingestion_message(str(path)) == "file is not valid UTF-8: invalid start byte"
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ("1_0", "obs '1_0' is not an integer"),
+        ("٣", "obs '٣' is not an integer"),
+        ("99999999999999999999", "obs 99999999999999999999 is out of range"),
+    ],
+)
+def test_index_forms_numpy_does_not_parse_are_rejected(raw, message):
+    rows = cell_rows()
+    bad = with_field(rows[FAULT_AT], 1, raw)
+    rows[FAULT_AT] = bad
+    text = layout(rows)
+    assert ingestion_message(text) == f"line {line_of(text, bad)}: {message}"
+
+
+@pytest.mark.parametrize("raw", ["1_0.5", "٣"])
+def test_value_forms_numpy_does_not_parse_are_rejected(raw):
+    rows = cell_rows()
+    bad = with_field(rows[FAULT_AT], 4, raw)
+    rows[FAULT_AT] = bad
+    text = layout(rows)
+    assert ingestion_message(text) == f"line {line_of(text, bad)}: value {raw!r} is not a number"
+
+
+@pytest.mark.parametrize(
+    "column, missing",
+    [
+        (1, "group=2, obs=1, component=1, time_index=2"),
+        (2, "group=2, obs=1, component=1, time_index=2"),
+        # time_index sets the grid of every group, so group 1 lacks time 3.
+        (3, "group=1, obs=1, component=1, time_index=3"),
+    ],
+)
+def test_absurd_index_reports_first_missing_cell(column, missing):
+    rows = cell_rows()
+    rows[FAULT_AT] = with_field(rows[FAULT_AT], column, str(2**63 - 1))
+    assert ingestion_message(layout(rows)) == f"missing cell ({missing})"
+
+
+def test_absurd_group_reports_gap():
+    rows = cell_rows()
+    rows = [with_field(row, 0, str(2**63 - 1)) if row.startswith("2,") else row for row in rows]
+    assert ingestion_message(layout(rows)) == "group 2 has no rows (groups must be numbered 1..k)"
+
+
+# --- property tests: round trip and single-byte corruption ---
+
+EXTREME_VALUES = [
+    5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.0, -0.0,
+]
+finite_values = st.one_of(
+    st.sampled_from(EXTREME_VALUES), st.floats(allow_nan=False, allow_infinity=False)
+)
+
+
+@st.composite
+def datasets(draw):
+    k = draw(st.integers(1, 3))
+    p = draw(st.integers(1, 3))
+    m = draw(st.integers(2, 6))
+    groups = []
+    for n in draw(st.lists(st.integers(1, 4), min_size=k, max_size=k)):
+        cells = draw(st.lists(finite_values, min_size=n * p * m, max_size=n * p * m))
+        groups.append(GroupSample(np.array(cells).reshape(n, p, m)))
+    return FunctionalDataset(make_uniform_grid(m, 0.0, 1.0), tuple(groups))
+
+
+def written(ds):
+    buf = io.StringIO()
+    write_csv(ds, buf)
+    return buf.getvalue()
+
+
+@settings(max_examples=80, deadline=None)
+@given(ds=datasets(), data=st.data())
+def test_load_csv_round_trip_with_shuffled_rows_and_skipped_lines(ds, data):
+    header, *rows = written(ds).splitlines()
+    lines = [header, *data.draw(st.permutations(rows))]
+    skipped = SKIPPED_LINES + ["#", "  #1,1,1,1,nan", "\t# x"]
+    extras = data.draw(st.lists(
+        st.tuples(st.integers(0, len(lines)), st.sampled_from(skipped)), max_size=12
+    ))
+    for at, line in sorted(extras, key=lambda extra: -extra[0]):
+        lines.insert(at, line)
+    again = load_csv("\n".join(lines) + "\n")
+    assert np.array_equal(again.grid.points, ds.grid.points)
+    assert again.n == ds.n
+    for before, after in zip(ds.groups, again.groups):
+        assert before.values.shape == after.values.shape
+        assert np.array_equal(before.values.view(np.int64), after.values.view(np.int64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ds=datasets(), data=st.data())
+def test_load_csv_after_one_corrupt_byte_loads_or_raises_ingestion_error(ds, data):
+    raw = bytearray(written(ds).encode())
+    raw[data.draw(st.integers(0, len(raw) - 1))] = data.draw(st.integers(0, 255))
+    stream = io.TextIOWrapper(io.BytesIO(bytes(raw)), encoding="utf-8")
+    try:
+        load_csv(stream)
+    except IngestionError:
+        pass

@@ -6,6 +6,7 @@ from mfdglht import (
     ContrastRankError,
     FunctionalDataset,
     GroupSample,
+    IngestionError,
     b_matrix,
     build_glht,
     e_matrix,
@@ -196,3 +197,48 @@ def test_c0_csv_loading():
     assert c0.shape == (1, 2, 3)
     assert c0[0, 0, 0] == 0.5
     assert c0[0, 1, 2] == -0.25
+
+
+def test_contrast_and_c0_files_skip_blank_and_comment_lines():
+    c = load_contrast_csv("# c\nrow,col,value\n\n   \n  # indented\n1,1,1\n\t\n1,4,-1\n")
+    assert c.tolist() == [[1.0, 0.0, 0.0, -1.0]]
+    c0 = load_c0_csv("row,component,time_index,value\n  # note\n1,2,3,-0.25\n", p=2, m=3)
+    assert c0[0, 1, 2] == -0.25 and np.count_nonzero(c0) == 1
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("row,col,value\n1,1\n", "line 2: expected 3 fields"),
+        ("row,col,value\n\n1,x,1\n", "line 3: malformed row"),
+        ("row,col,value\n1,1,1 # note\n", "line 2: malformed row"),
+        ("row,col,value\n1,1,1\n1,1,2\n", "duplicate cell (row=1, col=1)"),
+        ("row,col,value\n# c\n", "contrast file has no data rows"),
+        ("# c\nrow,column,value\n1,1,1\n", "line 2: expected header 'row,col,value'"),
+        ("row,col,value\n  # c\n1,0,1\n", "line 3: col must be >= 1, got 0"),
+    ],
+)
+def test_contrast_csv_errors(text, message):
+    with pytest.raises(IngestionError) as info:
+        load_contrast_csv(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1,1,1\n", "line 2: expected 4 fields"),
+        ("1,1,1.5,1\n", "line 2: malformed row"),
+        ("1,1,1,1\n1,1,1,2\n", "duplicate cell (row=1, component=1, time_index=1)"),
+        ("", "C0 file has no data rows"),
+        (
+            "1,3,1,1\n",
+            "C0 cell (row=1, component=3, time_index=1) outside dataset shape (p=2, m=3)",
+        ),
+        ("\n0,1,1,1\n", "line 3: row must be >= 1, got 0"),
+    ],
+)
+def test_c0_csv_errors(text, message):
+    with pytest.raises(IngestionError) as info:
+        load_c0_csv("row,component,time_index,value\n" + text, p=2, m=3)
+    assert str(info.value) == message
