@@ -4,24 +4,21 @@ The two variation matrices are approximated by Wishart laws whose degrees
 of freedom are chosen to match total variation. Estimating those degrees
 of freedom needs four trace-type functionals per group, built from
 U-statistics over distinct observation tuples so that unknown group means
-drop out exactly. Two interchangeable evaluation paths are provided:
+drop out exactly.
 
-* ``ustat_within_naive`` enumerates every distinct index tuple, exactly as
-  the defining sums are written. It is the correctness oracle and is
-  intended for small groups only.
-* ``ustat_within_fast`` computes identical values through an
-  inclusion-exclusion rewrite in terms of complete-sum aggregates of the
-  block Gram tensor, never touching 3- or 4-tuples. Cost is O(n^2 p^2 m)
-  per group with O(n^2 p^2) memory.
-
-Every fast quantity is a reduction of one weighted Gram of the
-standardized curves, each group centered by its own mean (see
-``_kernels``). ``dof_estimates`` builds that Gram once for all groups;
-``ustat_within_fast``, ``k4_hat`` and ``cross_terms`` build it for one
-group or one pair and run the same block reductions. The distinct-tuple
+Every functional is a reduction of one weighted Gram of the standardized
+curves (see ``_kernels``). ``build_glht`` prepares those curves in a
+single pass: each group centered by its own mean, scaled by sqrt(w) and
+transformed by the pooled inverse square root. ``dof_estimates`` forms
+their Gram once and reads every group and pair from its blocks; the
+within-group U-statistics use an inclusion-exclusion rewrite in terms of
+complete-sum aggregates, never touching 3- or 4-tuples. The distinct-tuple
 U-statistics are invariant to a common shift, so centering changes no
 exact value; it removes the cancellation that a large offset of the
-curves would otherwise cause.
+curves would otherwise cause. ``ustat_within_fast``, ``k4_hat`` and
+``cross_terms`` run the same reductions for one group or pair under any
+pooled matrix; ``ustat_within_naive``, the correctness oracle for small
+groups, enumerates every distinct index tuple as the defining sums read.
 
 ``true_dof`` evaluates the same degrees-of-freedom formulas from known
 covariance structures, which simulation tests use as the ground truth.
@@ -44,7 +41,7 @@ from .errors import (
 )
 from .glht import ContrastSpec, GlhtMatrices, build_glht
 from .grid import QuadWeights
-from .moments import OmegaHat, inv_sqrt_spd
+from .moments import OmegaHat, _centered_weighted, inv_sqrt_spd
 
 __all__ = [
     "WithinGroupUStats",
@@ -91,10 +88,6 @@ class DofEstimate:
         return any(self.clamped_b) or any(self.clamped_e)
 
 
-def _standardized(ds: FunctionalDataset, i: int, omega: OmegaHat) -> np.ndarray:
-    return np.einsum("pq,jqt->jpt", omega.inv_sqrt, ds.group_values(i))
-
-
 def _require_replication(ds: FunctionalDataset, i: int) -> int:
     n_i = ds.n[i]
     if n_i < 4:
@@ -120,27 +113,10 @@ def _combine_scalars(scalars: np.ndarray, n: int) -> WithinGroupUStats:
     return WithinGroupUStats(float(i_hat), float(t_hat), float(tr2_hat))
 
 
-def _centered_gram(ds: FunctionalDataset, groups, omega: OmegaHat, w: QuadWeights):
-    """Weighted Gram of the standardized curves of ``groups``, each centered by its mean.
-
-    Rows run over (observation, component), group by group in the order
-    given. Returns the Gram, whose upper triangle alone is valid, and the
-    row offsets of the groups (one more than there are groups).
-    """
-    n_all = ds.n
-    sizes = [n_all[i] for i in groups]
-    sqrt_w = np.sqrt(w.weights)  # real: QuadWeights are nonnegative
-    z = np.empty((sum(sizes), ds.p, ds.m))
-    lo = 0
-    for i, size in zip(groups, sizes):
-        values = ds.group_values(i)
-        out = z[lo : lo + size]
-        # Center before standardizing: the products then never see a large offset.
-        np.matmul(omega.inv_sqrt, values - values.mean(axis=0), out=out)
-        out *= sqrt_w
-        lo += size
-    gram = _kernels.gram_upper(z.reshape(-1, ds.m))
-    return gram, ds.p * np.concatenate([[0], np.cumsum(sizes)])
+def _standardized_gram(ds: FunctionalDataset, groups, omega: OmegaHat, w: QuadWeights):
+    """Upper triangle of the Gram of the prepared curves of ``groups`` under ``omega``."""
+    _, curves = _centered_weighted(ds, w, groups)
+    return _kernels.gram_upper((omega.inv_sqrt @ curves).reshape(-1, ds.m))
 
 
 def _within_from_block(block: np.ndarray, n: int, p: int) -> WithinGroupUStats:
@@ -166,8 +142,8 @@ def ustat_within_fast(
 ) -> WithinGroupUStats:
     """Within-group trace functionals via the aggregate-kernel fast path."""
     n_i = _require_replication(ds, i)
-    gram, bounds = _centered_gram(ds, (i,), omega, w)
-    return _within_from_block(_kernels.symmetric_block(gram, 0, bounds[1]), n_i, ds.p)
+    gram = _standardized_gram(ds, (i,), omega, w)
+    return _within_from_block(_kernels.symmetric_block(gram, 0, n_i * ds.p), n_i, ds.p)
 
 
 def ustat_within_naive(
@@ -180,7 +156,7 @@ def ustat_within_naive(
     Intended for small n as the correctness oracle for the fast path.
     """
     n_i = _require_replication(ds, i)
-    z = _standardized(ds, i, omega)
+    z = np.einsum("pq,jqt->jpt", omega.inv_sqrt, ds.group_values(i))
     wv = w.weights
     delta = np.einsum("apt,bps->abts", z, z)
     # ja[a,b,c,d] integrates delta_ab(t,s) * delta_cd(t,s);
@@ -228,8 +204,8 @@ def k4_hat(
     subtracted.
     """
     n_i = _require_replication(ds, i)
-    gram, bounds = _centered_gram(ds, (i,), omega, w)
-    return _k4_from_block(_kernels.symmetric_block(gram, 0, bounds[1]), n_i, ds.p, within)
+    gram = _standardized_gram(ds, (i,), omega, w)
+    return _k4_from_block(_kernels.symmetric_block(gram, 0, n_i * ds.p), n_i, ds.p, within)
 
 
 def cross_terms(
@@ -251,8 +227,9 @@ def cross_terms(
             raise InsufficientReplicationError(
                 f"group {i + 1} needs n >= 2 observations for cross terms"
             )
-    gram, bounds = _centered_gram(ds, (i1, i2), omega, w)
-    return _cross_from_block(gram[: bounds[1], bounds[1] :], ds.n[i1], ds.n[i2], ds.p)
+    split = ds.n[i1] * ds.p
+    gram = _standardized_gram(ds, (i1, i2), omega, w)
+    return _cross_from_block(gram[:split, split:], ds.n[i1], ds.n[i2], ds.p)
 
 
 def dof_estimates(
@@ -260,42 +237,34 @@ def dof_estimates(
     spec: ContrastSpec,
     w: QuadWeights,
     glht: GlhtMatrices | None = None,
-    method: str = "fast",
 ) -> DofEstimate:
     """Estimated degrees of freedom for the hypothesis and error matrices.
 
-    Every group and pair reads its blocks of one Gram of all the curves.
-    Each group's bracketed denominator contribution estimates a variance
-    and is clamped at zero from below; clamping is reported per group in
-    the result's diagnostics.
+    Every group and pair reads its blocks of one Gram of the curves that
+    ``build_glht`` standardized. Each group's bracketed denominator
+    contribution estimates a variance and is clamped at zero from below;
+    clamping is reported per group in the result's diagnostics.
     """
-    if method not in ("fast", "naive"):
-        raise ValidationError(f"unknown method {method!r}; use 'fast' or 'naive'")
     for i in range(ds.k):
         _require_replication(ds, i)
     if glht is None:
         glht = build_glht(ds, spec, w)
-    omega, hn = glht.omega, glht.hn
+    hn = glht.hn
     sizes = ds.n
     n = np.asarray(sizes, dtype=np.float64)
     k = ds.k
     p = ds.p
-    gram, bounds = _centered_gram(ds, range(k), omega, w)
+    gram = _kernels.gram_upper(glht.standardized.reshape(-1, ds.m))
+    bounds = p * np.cumsum([0, *sizes])
 
     within = []
     for i in range(k):
         block = _kernels.symmetric_block(gram, bounds[i], bounds[i + 1])
-        if method == "fast":
-            stats = _within_from_block(block, sizes[i], p)
-        else:
-            stats = ustat_within_naive(ds, i, omega, w)
+        stats = _within_from_block(block, sizes[i], p)
         within.append(stats.with_k4(_k4_from_block(block, sizes[i], p, stats)))
 
-    i_cross = np.zeros((k, k))
-    t_cross = np.zeros((k, k))
-    for i in range(k):
-        i_cross[i, i] = within[i].i_hat
-        t_cross[i, i] = within[i].t_hat
+    i_cross = np.diag([stats.i_hat for stats in within])
+    t_cross = np.diag([stats.t_hat for stats in within])
     for i1 in range(k):
         for i2 in range(i1 + 1, k):
             block = gram[bounds[i1] : bounds[i1 + 1], bounds[i2] : bounds[i2 + 1]]

@@ -18,7 +18,7 @@ import scipy.linalg
 from .dataset import FunctionalDataset, _cell_label, _read_rows
 from .errors import ContrastRankError, IngestionError, ValidationError
 from .grid import QuadWeights
-from .moments import MeanFunctions, OmegaHat, group_means, omega_hat, sigma_hat
+from .moments import MeanFunctions, OmegaHat, _centered_weighted, _integrated_cov, omega_hat
 
 __all__ = [
     "ContrastSpec",
@@ -81,13 +81,14 @@ class ContrastSpec:
 
 @dataclass(frozen=True)
 class GlhtMatrices:
-    """All matrices the tests consume, computed for one dataset and contrast."""
+    """All matrices the tests consume for one dataset and contrast, and the
+    standardized curves, read-only (N, p, m), that the degrees of freedom read."""
 
     hn: np.ndarray
     bn: np.ndarray
     en: np.ndarray
     omega: OmegaHat
-    dn_diag: np.ndarray = field(repr=False)
+    standardized: np.ndarray = field(repr=False)
 
 
 def oneway_contrast(k: int) -> ContrastSpec:
@@ -142,17 +143,26 @@ def e_matrix(sigmas, hn: np.ndarray, n) -> np.ndarray:
 
 
 def build_glht(ds: FunctionalDataset, spec: ContrastSpec, w: QuadWeights) -> GlhtMatrices:
-    """Assemble H, B, E, and the pooled matrix for one dataset and contrast."""
+    """Assemble H, B, E, the pooled matrix and the standardized curves.
+
+    The curves are centered by group and scaled by sqrt(w) once. B reads the
+    group means, each covariance its group's centered curves; the pooled
+    inverse square root then standardizes those curves in place.
+    """
     if spec.k != ds.k:
         raise ValidationError(f"contrast has {spec.k} columns but dataset has {ds.k} groups")
     n = np.asarray(ds.n)
     hn = hn_matrix(spec.c, n)
-    means = group_means(ds)
-    bn = b_matrix(means, spec, w, n)
-    sigmas = [sigma_hat(ds, i, w) for i in range(ds.k)]
+    means, curves = _centered_weighted(ds, w, range(ds.k))
+    bn = b_matrix(MeanFunctions(means), spec, w, n)
+    groups = np.split(curves, np.cumsum(ds.n)[:-1])
+    sigmas = [_integrated_cov(rows, i) for i, rows in enumerate(groups)]
     omega = omega_hat(sigmas, np.diag(hn), n)
-    en = e_matrix(sigmas, hn, n)
-    return GlhtMatrices(hn=hn, bn=bn, en=en, omega=omega, dn_diag=1.0 / n)
+    for rows in groups:
+        np.matmul(omega.inv_sqrt, rows, out=rows)
+    curves.flags.writeable = False
+    # E equals the pooled matrix term for term, so it is not summed a second time.
+    return GlhtMatrices(hn=hn, bn=bn, en=omega.omega, omega=omega, standardized=curves)
 
 
 CONTRAST_HEADER = ("row", "col", "value")

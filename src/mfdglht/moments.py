@@ -1,11 +1,11 @@
 """Sample moments: group means, integrated covariances, and the pooled matrix.
 
-The integrated covariance of a group is the time integral of the pointwise
-covariance diagonal, computed directly from centered curves without ever
-materializing the full covariance kernel. The pooled matrix combines the
-per-group integrated covariances with the diagonal of the hypothesis
-weighting matrix; its symmetric inverse square root standardizes every
-downstream quantity.
+Each group's curves are prepared once (``_centered_weighted``): centered by
+the group mean and scaled by the square roots of the quadrature weights.
+An integrated covariance is a p x p reduction of those curves, so the full
+covariance kernel is never formed. The pooled matrix combines the per-group
+integrated covariances with the diagonal of the hypothesis weighting
+matrix; its symmetric inverse square root standardizes the prepared curves.
 """
 
 from __future__ import annotations
@@ -65,20 +65,37 @@ def group_means(ds: FunctionalDataset) -> MeanFunctions:
     return MeanFunctions(np.stack([g.values.mean(axis=0) for g in ds.groups]))
 
 
+def _centered_weighted(ds: FunctionalDataset, w: QuadWeights, groups):
+    """Means of ``groups`` and their curves, centered by group and scaled by
+    sqrt(w), in one (N, p, m) array; centering keeps offsets out of products."""
+    sizes = [ds.n[i] for i in groups]
+    means = np.empty((len(sizes), ds.p, ds.m))
+    curves = np.empty((sum(sizes), ds.p, ds.m))
+    sqrt_w = np.sqrt(w.weights)  # real: QuadWeights are nonnegative
+    for i, mean, rows in zip(groups, means, np.split(curves, np.cumsum(sizes)[:-1])):
+        np.mean(ds.group_values(i), axis=0, out=mean)
+        np.subtract(ds.group_values(i), mean, out=rows)
+        rows *= sqrt_w
+    return means, curves
+
+
+def _integrated_cov(curves: np.ndarray, i: int) -> np.ndarray:
+    """Integrated covariance from group ``i``'s ``_centered_weighted`` curves."""
+    n_obs = curves.shape[0]
+    if n_obs < 2:
+        raise InsufficientReplicationError(
+            f"group {i + 1} needs n >= 2 observations for a covariance, has {n_obs}"
+        )
+    sigma = np.matmul(curves, curves.transpose(0, 2, 1)).sum(axis=0) / (n_obs - 1)
+    return (sigma + sigma.T) / 2.0
+
+
 def sigma_hat(ds: FunctionalDataset, i: int, w: QuadWeights) -> np.ndarray:
     """Integrated covariance of group ``i``: a symmetric PSD p x p matrix.
 
     Requires at least two observations in the group.
     """
-    values = ds.group_values(i)
-    n_obs = values.shape[0]
-    if n_obs < 2:
-        raise InsufficientReplicationError(
-            f"group {i + 1} needs n >= 2 observations for a covariance, has {n_obs}"
-        )
-    centered = values - values.mean(axis=0)
-    sigma = np.einsum("jpt,jqt,t->pq", centered, centered, w.weights) / (n_obs - 1)
-    return (sigma + sigma.T) / 2.0
+    return _integrated_cov(_centered_weighted(ds, w, (i,))[1], i)
 
 
 def inv_sqrt_spd(a: np.ndarray, rel_tol: float = PD_REL_TOL) -> np.ndarray:

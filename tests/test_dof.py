@@ -1,11 +1,16 @@
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfdglht import _kernels
 from mfdglht import (
     FunctionalDataset,
     GroupSample,
     InsufficientReplicationError,
+    MfdGlhtError,
     SeparableCovariances,
     ValidationError,
     build_glht,
@@ -303,27 +308,19 @@ def test_cross_terms_reject_same_group():
         cross_terms(ds, 0, 0, identity_omega(1), w)
 
 
-def test_dof_estimates_match_naive_pipeline():
-    rng = np.random.default_rng(20240502)
-    ds = dataset_from([rng.normal(size=(6, 2, 10)), 1.5 * rng.normal(size=(6, 2, 10))], m=10)
-    w = quad_weights(ds.grid)
-    spec = oneway_contrast(2)
-    fast = dof_estimates(ds, spec, w, method="fast")
-    naive = dof_estimates(ds, spec, w, method="naive")
-    assert fast.d_b == pytest.approx(naive.d_b, rel=1e-9)
-    assert fast.d_e == pytest.approx(naive.d_e, rel=1e-9)
-    assert fast.d_b > 0 and fast.d_e > 0
+def _assembled_from_wrappers(ds, spec, w, within_stats=ustat_within_fast):
+    """d_b, d_e and the per-group and per-pair terms, from the public per-call functions.
 
-
-def _assembled_from_wrappers(ds, spec, w):
-    """d_b, d_e and the per-group and per-pair terms, from the public per-call functions."""
+    ``within_stats`` gives each group's within functionals; pass
+    ``ustat_within_naive`` for the distinct-tuple oracle.
+    """
     glht = build_glht(ds, spec, w)
     omega, hn = glht.omega, glht.hn
     n = np.asarray(ds.n, dtype=np.float64)
     k = ds.k
     within = []
     for i in range(k):
-        stats = ustat_within_fast(ds, i, omega, w)
+        stats = within_stats(ds, i, omega, w)
         within.append(stats.with_k4(k4_hat(ds, i, omega, w, stats)))
     cross = np.zeros((2, k, k))
     for i in range(k):
@@ -342,6 +339,18 @@ def _assembled_from_wrappers(ds, spec, w):
                 db_denom += hn[i, j] ** 2 * (cross[0, i, j] + cross[1, i, j]) / (n[i] * n[j])
     p = ds.p
     return p * (p + 1) / db_denom, p * (p + 1) / de_denom, within, cross
+
+
+def test_dof_estimates_match_naive_pipeline():
+    rng = np.random.default_rng(20240502)
+    ds = dataset_from([rng.normal(size=(6, 2, 10)), 1.5 * rng.normal(size=(6, 2, 10))], m=10)
+    w = quad_weights(ds.grid)
+    spec = oneway_contrast(2)
+    fast = dof_estimates(ds, spec, w)
+    naive_b, naive_e, _, _ = _assembled_from_wrappers(ds, spec, w, ustat_within_naive)
+    assert fast.d_b == pytest.approx(naive_b, rel=1e-9)
+    assert fast.d_e == pytest.approx(naive_e, rel=1e-9)
+    assert fast.d_b > 0 and fast.d_e > 0
 
 
 @pytest.mark.parametrize("case", ["zero_column", "c0", "oneway"])
@@ -382,12 +391,82 @@ def test_dof_estimates_match_public_wrappers(case, monkeypatch):
     assert np.allclose(pooled.t_cross, cross[1], rtol=1e-12, atol=0)
 
 
+def test_curves_are_prepared_once_per_run(monkeypatch):
+    rng = np.random.default_rng(44)
+    ds = dataset_from([rng.normal(size=(n, 2, 6)) for n in (5, 6, 7)], m=6)
+    spec = oneway_contrast(3)
+    calls = {"prepare": 0, "gram": 0}
+    prepare = sys.modules["mfdglht.moments"]._centered_weighted
+    gram_upper = _kernels.gram_upper
+
+    def counting_prepare(*args, **kwargs):
+        calls["prepare"] += 1
+        return prepare(*args, **kwargs)
+
+    def counting_gram(a):
+        calls["gram"] += 1
+        return gram_upper(a)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("mfdglht") and hasattr(module, "_centered_weighted"):
+            monkeypatch.setattr(module, "_centered_weighted", counting_prepare)
+    monkeypatch.setattr(_kernels, "gram_upper", counting_gram)
+    run_glht(ds, spec)
+    assert calls == {"prepare": 1, "gram": 1}
+
+    w = quad_weights(ds.grid)
+    glht = build_glht(ds, spec, w)
+    calls.update(prepare=0, gram=0)
+    dof_estimates(ds, spec, w, glht=glht)
+    assert calls == {"prepare": 0, "gram": 1}
+
+
+@st.composite
+def affine_cases(draw):
+    """A small null dataset and an affine map x -> s A x + b(t) at a large magnitude."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k, p, m = draw(st.integers(2, 3)), draw(st.integers(1, 3)), draw(st.integers(3, 8))
+    groups = [rng.normal(size=(draw(st.integers(4, 7)), p, m)) for _ in range(k)]
+    scale = 10.0 ** draw(st.floats(-6, 6))
+    shift_size = scale * 10.0 ** draw(st.floats(-3, 6))
+    # Singular values in [0.5, 2]: a near-singular map would push the shift far
+    # above the noise in one direction, and rounding the input alone would lose it.
+    a = np.linalg.qr(rng.normal(size=(p, p)))[0] * rng.uniform(0.5, 2.0, size=p)
+    shift = shift_size * rng.uniform(-1, 1, size=(p, m))
+    return groups, scale * a, shift
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=affine_cases())
+def test_run_glht_affine_invariance_at_large_magnitudes(case):
+    groups, a, shift = case
+    m = groups[0].shape[2]
+    spec = oneway_contrast(len(groups))
+    mapped = [np.einsum("pq,jqt->jpt", a, g) + shift for g in groups]
+
+    def summary(curves):
+        report = run_glht(dataset_from(curves, m=m), spec)
+        return [report.dof.d_b, report.dof.d_e] + [
+            report.p_values[name] for name in ("mfw", "mflh", "mfp")
+        ]
+
+    try:
+        base = summary(groups)
+    except MfdGlhtError:
+        with pytest.raises(MfdGlhtError):
+            summary(mapped)
+        return
+    assert summary(mapped) == pytest.approx(base, rel=1e-8)
+
+
 def test_dof_affine_invariance():
     rng = np.random.default_rng(12)
     p, m = 2, 7
     groups = [rng.normal(size=(6, p, m)), rng.normal(size=(7, p, m))]
     ds = dataset_from(groups, m=m)
-    a = rng.normal(size=(p, p)) + 2 * np.eye(p)
+    # Singular values in [0.5, 2]: a near-singular map would push the shift far
+    # above the noise in one direction, and rounding the input alone would lose it.
+    a = np.linalg.qr(rng.normal(size=(p, p)))[0] * rng.uniform(0.5, 2.0, size=p)
     shift = rng.normal(size=(p, m))
     transformed = [np.einsum("pq,jqt->jpt", a, g) + shift[None] for g in groups]
     ds2 = dataset_from(transformed, m=m)

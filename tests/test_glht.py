@@ -118,6 +118,38 @@ def test_e_matrix_single_group_scaling():
     assert np.allclose(en, sigma / 6.0)
 
 
+def test_build_glht_en_is_the_pooled_matrix():
+    rng = np.random.default_rng(4)
+    ds = random_dataset(rng, n=(5, 6, 7), p=3, m=8)
+    w = quad_weights(ds.grid)
+    glht = build_glht(ds, ContrastSpec(np.array([[1.0, -2.0, 1.0]])), w)
+    assert np.array_equal(glht.en, glht.omega.omega)
+    sigmas = [sigma_hat(ds, i, w) for i in range(ds.k)]
+    assert np.array_equal(glht.en, e_matrix(sigmas, glht.hn, ds.n))
+
+
+def test_build_glht_standardized_curves():
+    rng = np.random.default_rng(5)
+    ds = random_dataset(rng, n=(5, 6, 7), p=3, m=8)
+    w = quad_weights(ds.grid)
+    glht = build_glht(ds, oneway_contrast(3), w)
+    z = glht.standardized
+    assert z.shape == (sum(ds.n), ds.p, ds.m)
+    assert not z.flags.writeable
+    expected = np.concatenate([
+        np.einsum("pq,jqt->jpt", glht.omega.inv_sqrt, g - g.mean(axis=0)) * np.sqrt(w.weights)
+        for g in (ds.group_values(i) for i in range(ds.k))
+    ])
+    assert np.allclose(z, expected, rtol=1e-12, atol=1e-14)
+    # The pooled matrix of the standardized curves is the identity.
+    edges = np.cumsum([0, *ds.n])
+    pooled = sum(
+        glht.hn[i, i] / (n_i * (n_i - 1)) * np.einsum("jpt,jqt->pq", z[lo:hi], z[lo:hi])
+        for i, (n_i, lo, hi) in enumerate(zip(ds.n, edges[:-1], edges[1:]))
+    )
+    assert np.allclose(pooled, np.eye(ds.p), atol=1e-12)
+
+
 def test_e_matrix_oneway_equals_adjusted_within_form():
     rng = np.random.default_rng(3)
     ds = random_dataset(rng, n=(5, 6, 7), p=2, m=8)
