@@ -1,0 +1,140 @@
+"""Paired base/change runs of the benchmark, summarized in one BENCH_*.json file.
+
+Run from the repository root:
+
+    python3 scripts/bench_pairs.py --base HEAD --pairs 10 --out BENCH_7.json
+
+The base side is the committed tree of ``--base``, unpacked by ``git
+archive`` into a temporary directory; the change side is the working tree.
+Each pair runs ``perfbench/run.py --trace 0`` once on each side, in fresh
+processes, with the same seed (``--first-seed`` plus the pair's index);
+which side runs first alternates from pair to pair. Every workload in
+BENCHMARK.json is run for ``--pairs`` pairs at its ``run_seconds``.
+
+For each workload and end-to-end metric the file holds both sides' runs,
+their median and quartiles, how many pairs each side won (ties count for
+neither), and whether the medians differ by more than the base's
+interquartile range. It also holds every run's failed-op count and the
+environment block perfbench printed for the first run.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+ENV_PREFIX = "environment: "
+RUN_TIMEOUT_S = 900
+
+
+def git(*args: str) -> str:
+    return subprocess.run(
+        ["git", "-C", str(ROOT), *args], capture_output=True, text=True, check=True
+    ).stdout.strip()
+
+
+def unpack(rev: str, dest: Path) -> None:
+    """The committed files of ``rev`` under ``dest``, with no link to this repository."""
+    archive = dest / "tree.tar"
+    subprocess.run(["git", "-C", str(ROOT), "archive", "-o", str(archive), rev], check=True)
+    with tarfile.open(archive) as tar:
+        tar.extractall(dest / "tree", filter="data")
+    archive.unlink()
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One ``--trace 0`` run; its result line and environment block."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", f"{seconds:g}", "--trace", "0"]
+    done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
+                          timeout=RUN_TIMEOUT_S)
+    if done.returncode != 0:
+        raise RuntimeError(f"{' '.join(cmd)} in {checkout} failed:\n{done.stderr[-3000:]}")
+    lines = done.stdout.strip().splitlines()
+    env = next(json.loads(line[len(ENV_PREFIX):]) for line in lines
+               if line.startswith(ENV_PREFIX))
+    return {**json.loads(lines[-1]), "environment": env}
+
+
+def spread(values: list[float]) -> dict:
+    q1, median, q3 = np.percentile(values, [25, 50, 75])
+    return {"median": float(median), "q1": float(q1), "q3": float(q3), "runs": values}
+
+
+def summarize(metrics: list[dict], runs: dict) -> dict:
+    out = {}
+    for metric in metrics:
+        name, sign = metric["name"], 1.0 if metric["better"] == "higher" else -1.0
+        base = [r["metrics"][name]["value"] for r in runs["base"]]
+        change = [r["metrics"][name]["value"] for r in runs["change"]]
+        gains = [sign * (c - b) for b, c in zip(base, change)]
+        entry = {"unit": metric["unit"], "better": metric["better"],
+                 "base": spread(base), "change": spread(change),
+                 "change_wins": sum(g > 0 for g in gains),
+                 "base_wins": sum(g < 0 for g in gains)}
+        diff = entry["change"]["median"] - entry["base"]["median"]
+        entry["median_change_ratio"] = entry["change"]["median"] / entry["base"]["median"]
+        entry["medians_differ_by_more_than_base_iqr"] = bool(
+            abs(diff) > entry["base"]["q3"] - entry["base"]["q1"]
+        )
+        out[name] = entry
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", default="HEAD", help="git revision of the base side")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--first-seed", type=int, default=1)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
+    base_rev = git("rev-parse", args.base)
+
+    result = {
+        "base": base_rev,
+        "change": {"head": git("rev-parse", "HEAD"),
+                   "dirty": bool(git("status", "--porcelain"))},
+        "command": "perfbench/run.py --trace 0",
+        "seconds": seconds,
+        "pairs": args.pairs,
+        "workloads": {},
+    }
+    with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
+        unpack(base_rev, Path(tmp))
+        sides = {"base": Path(tmp) / "tree", "change": ROOT}
+        for workload in (w["name"] for w in bench["workloads"]):
+            runs = {"base": [], "change": []}
+            order_log = []
+            for i in range(args.pairs):
+                seed = args.first_seed + i
+                order = ("base", "change") if i % 2 == 0 else ("change", "base")
+                for side in order:
+                    started = time.time()
+                    runs[side].append(run_once(sides[side], workload, seed, seconds))
+                    print(f"{workload} seed {seed} {side}: "
+                          f"{time.time() - started:.0f} s", file=sys.stderr, flush=True)
+                order_log.append({"seed": seed, "first": order[0]})
+            result.setdefault("environment", runs["base"][0]["environment"])
+            result["workloads"][workload] = {
+                "pairs": order_log,
+                "failed_ops": {side: [r["failed"] for r in rs] for side, rs in runs.items()},
+                "attempted_ops": {side: [r["attempted"] for r in rs] for side, rs in runs.items()},
+                "metrics": summarize(bench["end_to_end"], runs),
+            }
+    args.out.write_text(json.dumps(result, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -12,6 +12,11 @@ exists nothing touches the time grid again, so the whole cost in m is one
 symmetric rank-m update (``gram_upper``) of the curves scaled by the
 square roots of the quadrature weights. The other kernels take a
 block of K and never see curves.
+
+The within-group kernel needs each group's curves centered by the group's
+mean. They then sum to zero over observations at every time point, so
+every aggregate that contains a row sum of a block is exactly zero, and
+those aggregates are not formed.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ __all__ = [
     "gram_upper",
     "symmetric_block",
     "within_group_scalars",
-    "k4_first_term",
     "pair_trace_integrals",
 ]
 
@@ -50,47 +54,39 @@ def symmetric_block(gram: np.ndarray, lo: int, hi: int) -> np.ndarray:
 
 
 def within_group_scalars(block: np.ndarray, p: int) -> np.ndarray:
-    """Nine aggregate double integrals of one group from its symmetric Gram block.
+    """The four nonzero aggregate double integrals of one group from its
+    symmetric Gram block; the group's curves must be centered by its mean.
 
     Writing delta_ab(t, s) = z_a(t) . z_b(s) and angle brackets for the
     weighted double integral over (t, s), the entries are the complete
-    sums <D^2>, <D U>, <U^2>, <E2>, <V>, <W>, <W12>, <F2>, <F2X> of the
-    pointwise kernels
+    sums <D^2>, <E2>, <F2>, <F2X> of the pointwise kernels
 
-      D   = sum_j delta_jj            U   = sum_{a,b} delta_ab
-      E2  = sum_j delta_jj^2          V   = sum_{j,c} delta_jj delta_jc
-      W   = sum_{j,c,d} delta_jc delta_jd (shared first index)
-      W12 = sum_{j,c,d} delta_jc delta_dj
+      D   = sum_j delta_jj            E2  = sum_j delta_jj^2
       F2  = sum_{a,b} delta_ab^2      F2X = sum_{a,b} delta_ab delta_ba
 
-    with ``block`` the (n p, n p) Gram of the group's n curves.
+    with ``block`` the (n p, n p) Gram of the group's n curves. <E2> is
+    also the sum over j of the squared self-kernel integral, the first term
+    of the kurtosis functional.
+
+    Centered curves sum to zero at every t, so every row sum of the
+    block's p x p sub-blocks, and their total, is zero. The five other
+    aggregates of the inclusion-exclusion expansion, <D U>, <U^2>, <V>,
+    <W> and <W12> with U = sum_{a,b} delta_ab, V = sum_{j,c} delta_jj
+    delta_jc, W = sum_{j,c,d} delta_jc delta_jd and W12 = sum_{j,c,d}
+    delta_jc delta_dj, each contain such a sum and vanish.
     """
     n = block.shape[0] // p
     q = block.reshape(n, p, n, p)
     q_diag = np.einsum("jpjq->jpq", q)
-    row = q.sum(axis=2)
-    total = row.sum(axis=0)
     diag_sum = q_diag.sum(axis=0)
     return np.array(
         [
             np.vdot(block, block),
-            np.vdot(row, row),
-            np.vdot(total, total),
             np.vdot(q_diag, q_diag),
-            np.vdot(q_diag, row),
-            np.vdot(diag_sum, total),
-            np.vdot(row, row.transpose(0, 2, 1)),
             np.vdot(diag_sum, diag_sum),
             np.vdot(q, q.transpose(0, 3, 2, 1)),
         ]
     )
-
-
-def k4_first_term(block: np.ndarray, p: int) -> float:
-    """sum_j of the squared self-kernel integral: the p x p diagonal blocks of ``block``."""
-    n = block.shape[0] // p
-    q_diag = np.einsum("jpjq->jpq", block.reshape(n, p, n, p))
-    return float(np.vdot(q_diag, q_diag))
 
 
 def pair_trace_integrals(block: np.ndarray, p: int) -> tuple[float, float]:

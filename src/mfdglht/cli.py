@@ -52,8 +52,8 @@ def _fail(code: int, kind: str, message: str) -> int:
 def cmd_test(args) -> int:
     try:
         ds = load_csv(args.data, a=args.domain[0], b=args.domain[1])
-        c = load_contrast_csv(args.contrast)
-        c0 = load_c0_csv(args.c0, p=ds.p, m=ds.m) if args.c0 else None
+        c = load_contrast_csv(args.contrast, k=ds.k)
+        c0 = load_c0_csv(args.c0, p=ds.p, m=ds.m, q=c.shape[0]) if args.c0 else None
         spec = ContrastSpec(c, c0)
         if not (0.0 < args.alpha < 1.0):
             raise InputError(f"alpha must lie in (0, 1), got {args.alpha}")

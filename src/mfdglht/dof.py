@@ -14,11 +14,13 @@ their Gram once and reads every group and pair from its blocks; the
 within-group U-statistics use an inclusion-exclusion rewrite in terms of
 complete-sum aggregates, never touching 3- or 4-tuples. The distinct-tuple
 U-statistics are invariant to a common shift, so centering changes no
-exact value; it removes the cancellation that a large offset of the
-curves would otherwise cause. ``ustat_within_fast``, ``k4_hat`` and
-``cross_terms`` run the same reductions for one group or pair under any
-pooled matrix; ``ustat_within_naive``, the correctness oracle for small
-groups, enumerates every distinct index tuple as the defining sums read.
+exact value. It removes the cancellation that a large offset of the
+curves would otherwise cause, and it makes five of the rewrite's nine
+aggregates exactly zero, so only the other four are formed.
+``ustat_within_fast``, ``k4_hat`` and ``cross_terms`` run the same
+reductions for one group or pair under any pooled matrix;
+``ustat_within_naive``, the correctness oracle for small groups,
+enumerates every distinct index tuple as the defining sums read.
 
 ``true_dof`` evaluates the same degrees-of-freedom formulas from known
 covariance structures, which simulation tests use as the ground truth.
@@ -99,17 +101,23 @@ def _require_replication(ds: FunctionalDataset, i: int) -> int:
 
 
 def _combine_scalars(scalars: np.ndarray, n: int) -> WithinGroupUStats:
-    """Assemble the three functionals from the nine aggregate integrals."""
-    i_d2, i_du, i_u2, i_e2, i_v, i_w, i_w12, i_f2, i_f2x = scalars
+    """Assemble the three functionals from the four aggregate integrals of
+    centered curves.
+
+    This is the inclusion-exclusion over distinct index tuples with the
+    five aggregates that centering makes zero left out (see
+    ``_kernels.within_group_scalars``).
+    """
+    i_d2, i_e2, i_f2, i_f2x = scalars
     d2 = n * (n - 1)
     d3 = d2 * (n - 2)
     d4 = d3 * (n - 3)
     # Shared 4-distinct-index complete-sum expansion (identical for all three
     # functionals because relabeling distinct tuples is a bijection).
-    t4 = i_u2 - 2 * i_du - 2 * i_w - 2 * i_w12 + i_d2 + i_f2 + i_f2x + 8 * i_v - 6 * i_e2
-    i_hat = (i_d2 - i_e2) / d2 - 2 * (i_du - 2 * i_v - i_d2 + 2 * i_e2) / d3 + t4 / d4
-    t_hat = (i_f2x - i_e2) / d2 - 2 * (i_w12 - 2 * i_v - i_f2x + 2 * i_e2) / d3 + t4 / d4
-    tr2_hat = (i_f2 - i_e2) / d2 - 2 * (i_w - 2 * i_v - i_f2 + 2 * i_e2) / d3 + t4 / d4
+    t4 = i_d2 + i_f2 + i_f2x - 6 * i_e2
+    i_hat = (i_d2 - i_e2) / d2 + 2 * (i_d2 - 2 * i_e2) / d3 + t4 / d4
+    t_hat = (i_f2x - i_e2) / d2 + 2 * (i_f2x - 2 * i_e2) / d3 + t4 / d4
+    tr2_hat = (i_f2 - i_e2) / d2 + 2 * (i_f2 - 2 * i_e2) / d3 + t4 / d4
     return WithinGroupUStats(float(i_hat), float(t_hat), float(tr2_hat))
 
 
@@ -119,13 +127,10 @@ def _standardized_gram(ds: FunctionalDataset, groups, omega: OmegaHat, w: QuadWe
     return _kernels.gram_upper((omega.inv_sqrt @ curves).reshape(-1, ds.m))
 
 
-def _within_from_block(block: np.ndarray, n: int, p: int) -> WithinGroupUStats:
-    return _combine_scalars(_kernels.within_group_scalars(block, p), n)
-
-
-def _k4_from_block(block: np.ndarray, n: int, p: int, within: WithinGroupUStats) -> float:
-    first = _kernels.k4_first_term(block, p) / (n - 1)
-    return float(first - within.tr_sigma2_hat - within.i_hat - within.t_hat)
+def _k4(e2: float, n: int, within: WithinGroupUStats) -> float:
+    """Kurtosis functional; its first term, the summed squared self-kernel
+    integral of the centered curves, is the aggregate <E2>."""
+    return float(e2 / (n - 1) - within.tr_sigma2_hat - within.i_hat - within.t_hat)
 
 
 def _cross_from_block(block: np.ndarray, n1: int, n2: int, p: int) -> tuple[float, float]:
@@ -143,7 +148,8 @@ def ustat_within_fast(
     """Within-group trace functionals via the aggregate-kernel fast path."""
     n_i = _require_replication(ds, i)
     gram = _standardized_gram(ds, (i,), omega, w)
-    return _within_from_block(_kernels.symmetric_block(gram, 0, n_i * ds.p), n_i, ds.p)
+    block = _kernels.symmetric_block(gram, 0, n_i * ds.p)
+    return _combine_scalars(_kernels.within_group_scalars(block, ds.p), n_i)
 
 
 def ustat_within_naive(
@@ -205,7 +211,8 @@ def k4_hat(
     """
     n_i = _require_replication(ds, i)
     gram = _standardized_gram(ds, (i,), omega, w)
-    return _k4_from_block(_kernels.symmetric_block(gram, 0, n_i * ds.p), n_i, ds.p, within)
+    block = _kernels.symmetric_block(gram, 0, n_i * ds.p)
+    return _k4(_kernels.within_group_scalars(block, ds.p)[1], n_i, within)
 
 
 def cross_terms(
@@ -260,8 +267,9 @@ def dof_estimates(
     within = []
     for i in range(k):
         block = _kernels.symmetric_block(gram, bounds[i], bounds[i + 1])
-        stats = _within_from_block(block, sizes[i], p)
-        within.append(stats.with_k4(_k4_from_block(block, sizes[i], p, stats)))
+        scalars = _kernels.within_group_scalars(block, p)
+        stats = _combine_scalars(scalars, sizes[i])
+        within.append(stats.with_k4(_k4(scalars[1], sizes[i], stats)))
 
     i_cross = np.diag([stats.i_hat for stats in within])
     t_cross = np.diag([stats.t_hat for stats in within])

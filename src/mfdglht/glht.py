@@ -106,21 +106,21 @@ def _gram_cho_factor(c: np.ndarray, n) -> tuple:
     return scipy.linalg.cho_factor((gram + gram.T) / 2.0, lower=True)
 
 
-def hn_matrix(c: np.ndarray, n) -> np.ndarray:
-    """Weighting matrix C^T (C D C^T)^{-1} C with D = diag(1/n_i); k x k PSD."""
-    spec = c if isinstance(c, ContrastSpec) else ContrastSpec(c)
-    cho = _gram_cho_factor(spec.c, n)
-    hn = spec.c.T @ scipy.linalg.cho_solve(cho, spec.c)
+def _hn_from_factor(c: np.ndarray, cho: tuple) -> np.ndarray:
+    hn = c.T @ scipy.linalg.cho_solve(cho, c)
     return (hn + hn.T) / 2.0
 
 
-def b_matrix(
-    means: MeanFunctions, spec: ContrastSpec, w: QuadWeights, n
+def hn_matrix(c: np.ndarray, n) -> np.ndarray:
+    """Weighting matrix C^T (C D C^T)^{-1} C with D = diag(1/n_i); k x k PSD."""
+    spec = c if isinstance(c, ContrastSpec) else ContrastSpec(c)
+    return _hn_from_factor(spec.c, _gram_cho_factor(spec.c, n))
+
+
+def _bn_from_factor(
+    means: MeanFunctions, spec: ContrastSpec, w: QuadWeights, cho: tuple
 ) -> np.ndarray:
-    """Hypothesis variation matrix: integrated quadratic form in C M(t) - C0(t)."""
-    k, p, m = means.means.shape
-    if spec.k != k:
-        raise ValidationError(f"contrast has {spec.k} columns but dataset has {k} groups")
+    _, p, m = means.means.shape
     resid = np.einsum("qk,kpm->qpm", spec.c, means.means)
     if spec.c0 is not None:
         if spec.c0.shape != (spec.q, p, m):
@@ -128,10 +128,19 @@ def b_matrix(
                 f"C0 shape {spec.c0.shape} does not match (q={spec.q}, p={p}, m={m})"
             )
         resid = resid - spec.c0
-    cho = _gram_cho_factor(spec.c, n)
     solved = scipy.linalg.cho_solve(cho, resid.reshape(spec.q, -1)).reshape(resid.shape)
     bn = np.einsum("qpt,qot,t->po", resid, solved, w.weights)
     return (bn + bn.T) / 2.0
+
+
+def b_matrix(
+    means: MeanFunctions, spec: ContrastSpec, w: QuadWeights, n
+) -> np.ndarray:
+    """Hypothesis variation matrix: integrated quadratic form in C M(t) - C0(t)."""
+    k = means.means.shape[0]
+    if spec.k != k:
+        raise ValidationError(f"contrast has {spec.k} columns but dataset has {k} groups")
+    return _bn_from_factor(means, spec, w, _gram_cho_factor(spec.c, n))
 
 
 def e_matrix(sigmas, hn: np.ndarray, n) -> np.ndarray:
@@ -152,9 +161,10 @@ def build_glht(ds: FunctionalDataset, spec: ContrastSpec, w: QuadWeights) -> Glh
     if spec.k != ds.k:
         raise ValidationError(f"contrast has {spec.k} columns but dataset has {ds.k} groups")
     n = np.asarray(ds.n)
-    hn = hn_matrix(spec.c, n)
+    cho = _gram_cho_factor(spec.c, n)  # the one factor of C D C^T that H and B share
+    hn = _hn_from_factor(spec.c, cho)
     means, curves = _centered_weighted(ds, w, range(ds.k))
-    bn = b_matrix(MeanFunctions(means), spec, w, n)
+    bn = _bn_from_factor(MeanFunctions(means), spec, w, cho)
     groups = np.split(curves, np.cumsum(ds.n)[:-1])
     sigmas = [_integrated_cov(rows, i) for i, rows in enumerate(groups)]
     omega = omega_hat(sigmas, np.diag(hn), n)
@@ -182,29 +192,52 @@ def _reject_duplicates(cells: np.ndarray, header: tuple[str, ...]) -> None:
         raise IngestionError(f"duplicate cell {_cell_label(header, unique[counts > 1][0])}")
 
 
-def load_contrast_csv(source) -> np.ndarray:
-    """Read a contrast matrix from CSV with header ``row,col,value`` (1-based)."""
+def _reject_outside(cells: np.ndarray, header: tuple[str, ...], limits: dict, what: str,
+                    where: str) -> None:
+    """Raise ``IngestionError`` for the first cell with an index above its limit in
+    ``limits`` (keyed by column name); run before the indices size a dense array."""
+    bound = [limits.get(name, np.iinfo(np.int64).max) for name in header[:-1]]
+    outside = np.flatnonzero(np.any(cells > bound, axis=1))
+    if outside.size:
+        label = _cell_label(header, cells[outside[0]])
+        raise IngestionError(f"{what} cell {label} outside {where}")
+
+
+def load_contrast_csv(source, k: int | None = None) -> np.ndarray:
+    """Read a contrast matrix from CSV with header ``row,col,value`` (1-based).
+
+    With ``k``, the dataset's group count, every row and column index must be
+    at most k; pass it for files from outside the program, whose indices
+    would otherwise size the matrix unchecked.
+    """
     cells, values = _read_rows(source, CONTRAST_HEADER, _field_count_fault)
     if not len(values):
         raise IngestionError("contrast file has no data rows")
     _reject_duplicates(cells, CONTRAST_HEADER)
+    if k is not None:
+        _reject_outside(cells, CONTRAST_HEADER, {"row": k, "col": k}, "contrast",
+                        f"a contrast of k={k} groups (row and col at most k)")
     c = np.zeros(cells.max(axis=0))
     c[tuple((cells - 1).T)] = values
     return c
 
 
-def load_c0_csv(source, p: int, m: int) -> np.ndarray:
-    """Read C0 curves from CSV with header ``row,component,time_index,value``."""
+def load_c0_csv(source, p: int, m: int, q: int | None = None) -> np.ndarray:
+    """Read C0 curves from CSV with header ``row,component,time_index,value``.
+
+    Components are bounded by ``p`` and time indices by ``m``; with ``q``,
+    the contrast's row count, the rows are bounded too.
+    """
     cells, values = _read_rows(source, C0_HEADER, _field_count_fault)
     if not len(values):
         raise IngestionError("C0 file has no data rows")
     _reject_duplicates(cells, C0_HEADER)
-    outside = np.flatnonzero((cells[:, 1] > p) | (cells[:, 2] > m))
-    if outside.size:
-        raise IngestionError(
-            f"C0 cell {_cell_label(C0_HEADER, cells[outside[0]])} outside "
-            f"dataset shape (p={p}, m={m})"
-        )
+    limits = {"component": p, "time_index": m}
+    shape = f"p={p}, m={m}"
+    if q is not None:
+        limits["row"] = q
+        shape = f"q={q}, {shape}"
+    _reject_outside(cells, C0_HEADER, limits, "C0", f"dataset shape ({shape})")
     c0 = np.zeros((cells[:, 0].max(), p, m))
     c0[tuple((cells - 1).T)] = values
     return c0

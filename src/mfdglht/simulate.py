@@ -8,8 +8,12 @@ of freedom, centered scaled chi-square with 4 degrees of freedom), all
 driven by a single seeded normal stream so that every replication is
 exactly reproducible.
 
-A study runs its replications in order, and replication ``r`` of a study
-with master seed ``s`` always uses the stream seeded by
+A setting's constants (grid, mean curves, basis and variance components)
+are built once per study; a replication pays only for its own
+innovations and one BLAS product per group. ``gen_sample`` is that same
+sampler built and called once, so a study and a one-off draw cannot
+diverge. A study runs its replications in order, and replication ``r``
+of a study with master seed ``s`` always uses the stream seeded by
 ``SeedSequence([s, r])``, so a study is reproducible from its master seed.
 """
 
@@ -299,6 +303,43 @@ def draw_innovations(rng: np.random.Generator, shape, model: int) -> np.ndarray:
     raise ValidationError("model must be 1, 2, or 3")
 
 
+def _component_sampler(grid: Grid, means, lambdas, basis, n, model: int):
+    """Check one component-model setting and return ``draw(rng)``, which
+    draws one dataset from it.
+
+    ``means`` is (k, p, m), ``lambdas`` (k, q), ``basis`` (q, p, m). The
+    checks, the square roots of the lambdas and the flattened basis are
+    computed here once; ``draw`` pays only for its innovations and one
+    matrix product per group. Groups are generated in order, each consuming
+    its innovations from the shared stream.
+    """
+    means = np.asarray(means, dtype=np.float64)
+    lambdas = np.atleast_2d(np.asarray(lambdas, dtype=np.float64))
+    basis = np.asarray(basis, dtype=np.float64)
+    k, p, m = means.shape
+    n = tuple(int(v) for v in n)
+    if lambdas.shape[0] != k or len(n) != k:
+        raise ValidationError("means, lambdas, and n disagree on the group count")
+    if basis.shape[0] != lambdas.shape[1]:
+        raise ValidationError("basis and lambdas disagree on the number of terms")
+    if basis.shape[1:] != (p, m):
+        raise ValidationError("basis and means disagree on the curve shape (p, m)")
+    sqrt_lam = np.sqrt(lambdas)
+    # (q, p*m) lets BLAS form every curve of a group in one product.
+    flat_basis = basis.reshape(basis.shape[0], p * m)
+
+    def draw(rng: np.random.Generator) -> FunctionalDataset:
+        groups = []
+        for mean, scale, size in zip(means, sqrt_lam, n):
+            eps = draw_innovations(rng, (size, scale.size), model)
+            values = ((eps * scale) @ flat_basis).reshape(size, p, m)
+            values += mean
+            groups.append(GroupSample(values))
+        return FunctionalDataset(grid, tuple(groups))
+
+    return draw
+
+
 def sample_curves(
     means: np.ndarray,
     lambdas: np.ndarray,
@@ -309,38 +350,34 @@ def sample_curves(
 ) -> FunctionalDataset:
     """Draw one dataset from the component model.
 
-    ``means`` is (k, p, m), ``lambdas`` (k, q), ``basis`` (q, p, m).
-    Groups are generated in order, each consuming its innovations from the
-    shared stream.
+    ``means`` is (k, p, m), ``lambdas`` (k, q), ``basis`` (q, p, m). Group
+    i's curves are ``means[i] + (eps * sqrt(lambdas[i])) @ basis`` with
+    ``eps`` its (n_i, q) innovations. Groups are generated in order, each
+    consuming its innovations from the shared stream.
     """
-    means = np.asarray(means, dtype=np.float64)
-    lambdas = np.atleast_2d(np.asarray(lambdas, dtype=np.float64))
-    basis = np.asarray(basis, dtype=np.float64)
-    k = means.shape[0]
-    n = tuple(int(v) for v in n)
-    if lambdas.shape[0] != k or len(n) != k:
-        raise ValidationError("means, lambdas, and n disagree on the group count")
-    if basis.shape[0] != lambdas.shape[1]:
-        raise ValidationError("basis and lambdas disagree on the number of terms")
-    groups = []
-    sqrt_lam = np.sqrt(lambdas)
-    for i in range(k):
-        eps = draw_innovations(rng, (n[i], lambdas.shape[1]), model)
-        coeff = eps * sqrt_lam[i][None, :]
-        values = means[i][None, :, :] + np.einsum("jr,rpm->jpm", coeff, basis)
-        groups.append(GroupSample(values))
-    m = means.shape[2]
-    return FunctionalDataset(make_uniform_grid(m, 0.0, 1.0), tuple(groups))
+    m = np.shape(means)[2]
+    sampler = _component_sampler(make_uniform_grid(m, 0.0, 1.0), means, lambdas, basis, n, model)
+    return sampler(rng)
+
+
+def _setting_sampler(cfg: SimConfig):
+    """``draw(seed)`` for one simulation setting; the setting's grid, mean
+    curves, basis and variance components are built once, here."""
+    grid = cfg.grid()
+    sampler = _component_sampler(
+        grid,
+        mean_functions(cfg.p, grid, cfg.delta)[: cfg.k],
+        component_stream_lambdas(cfg.nus(), cfg.rho, cfg.q, cfg.p),
+        component_stream_basis(cfg.p, cfg.q, grid),
+        cfg.n,
+        cfg.model,
+    )
+    return lambda seed: sampler(np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed))))
 
 
 def gen_sample(cfg: SimConfig, seed) -> FunctionalDataset:
     """Generate one dataset for a simulation setting, deterministically."""
-    grid = cfg.grid()
-    means = mean_functions(cfg.p, grid, cfg.delta)[: cfg.k]
-    lambdas = component_stream_lambdas(cfg.nus(), cfg.rho, cfg.q, cfg.p)
-    basis = component_stream_basis(cfg.p, cfg.q, grid)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    return sample_curves(means, lambdas, basis, cfg.n, cfg.model, rng)
+    return _setting_sampler(cfg)(seed)
 
 
 def size_power_study(cfg: SimConfig) -> StudyResult:
@@ -353,11 +390,12 @@ def size_power_study(cfg: SimConfig) -> StudyResult:
     """
     spec = cfg.contrast_spec()
     start = time.perf_counter()
+    draw = _setting_sampler(cfg)
     rejections = {name: 0 for name in STATISTIC_NAMES}
     errored = 0
     for rep in range(cfg.reps):
         try:
-            report = run_glht(gen_sample(cfg, [cfg.seed, rep]), spec, alpha=cfg.alpha)
+            report = run_glht(draw([cfg.seed, rep]), spec, alpha=cfg.alpha)
         except DegeneracyError:
             errored += 1
             continue

@@ -179,6 +179,37 @@ def test_cmd_test_non_utf8_file_exit_2(bad, tmp_path, capsys):
     assert err == {"error": "IngestionError", "message": "file is not valid UTF-8: invalid start byte"}
 
 
+@pytest.mark.parametrize(
+    "bad, text, message",
+    [
+        (
+            "contrast",
+            "row,col,value\n1,1,1\n1,1000000000000,-1\n",
+            "contrast cell (row=1, col=1000000000000) outside a contrast of k=4 groups "
+            "(row and col at most k)",
+        ),
+        (
+            "c0",
+            "row,component,time_index,value\n1,1,1,0.25\n1000000000000,1,1,0.0\n",
+            "C0 cell (row=1000000000000, component=1, time_index=1) outside dataset shape "
+            "(q=3, p=6, m=80)",
+        ),
+    ],
+)
+def test_cmd_test_huge_index_exit_2(bad, text, message, tmp_path, capsys):
+    # An index far beyond the dataset must not size an array.
+    files = {name: tmp_path / f"{name}.csv" for name in ("data", "contrast", "c0")}
+    write_dataset(files["data"])
+    write_oneway_contrast(files["contrast"])
+    files["c0"].write_text("row,component,time_index,value\n1,1,1,0.25\n")
+    files[bad].write_text(text)
+    args = ["test", "--data", str(files["data"]), "--contrast", str(files["contrast"])]
+    args += ["--c0", str(files["c0"]), "--out", str(tmp_path / "report.json")]
+    assert main(args) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": "IngestionError", "message": message}
+
+
 def test_cmd_simulate_same_seed_byte_identical(tmp_path):
     config = tmp_path / "sim.json"
     config.write_text(

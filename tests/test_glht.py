@@ -259,6 +259,40 @@ def test_contrast_csv_errors(text, message):
 @pytest.mark.parametrize(
     "text, message",
     [
+        (
+            "1,1,1\n1,1000000000000,-1\n",
+            "contrast cell (row=1, col=1000000000000) outside a contrast of k=4 groups "
+            "(row and col at most k)",
+        ),
+        (
+            "5,1,1\n",
+            "contrast cell (row=5, col=1) outside a contrast of k=4 groups "
+            "(row and col at most k)",
+        ),
+    ],
+)
+def test_contrast_csv_indices_bounded_by_k(text, message):
+    # The bound is checked before the indices size the matrix.
+    with pytest.raises(IngestionError) as info:
+        load_contrast_csv("row,col,value\n" + text, k=4)
+    assert str(info.value) == message
+    assert load_contrast_csv("row,col,value\n1,1,1\n3,4,-1\n", k=4).shape == (3, 4)
+
+
+def test_c0_csv_rows_bounded_by_q():
+    header = "row,component,time_index,value\n"
+    with pytest.raises(IngestionError) as info:
+        load_c0_csv(header + "1,1,1,1\n1000000000000,1,1,1\n", p=2, m=3, q=1)
+    assert str(info.value) == (
+        "C0 cell (row=1000000000000, component=1, time_index=1) outside dataset shape "
+        "(q=1, p=2, m=3)"
+    )
+    assert load_c0_csv(header + "2,2,3,1\n", p=2, m=3, q=2).shape == (2, 2, 3)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
         ("1,1,1\n", "line 2: expected 4 fields"),
         ("1,1,1.5,1\n", "line 2: malformed row"),
         ("1,1,1,1\n1,1,1,2\n", "duplicate cell (row=1, component=1, time_index=1)"),

@@ -39,37 +39,36 @@ def test_symmetric_block_matches_full_gram(lo, hi):
 @pytest.mark.parametrize("shape", [(4, 1, 3), (8, 3, 12), (15, 6, 20)])
 def test_within_group_scalars_brute_force(shape):
     rng = np.random.default_rng(sum(shape))
-    z = rng.normal(size=shape)
+    raw = rng.normal(loc=3.0, size=shape)
+    z = raw - raw.mean(axis=0)
     w = rng.uniform(0.05, 1.0, size=shape[2])
     q = np.einsum("apt,cqt,t->apcq", z, z, w)
     q_diag = np.einsum("jpjq->jpq", q)
     row = np.einsum("jpcq->jpq", q)
     total = np.einsum("jpcq->pq", q)
     diag_sum = np.einsum("jpjq->pq", q)
-    expected = [
-        np.einsum("apcq,apcq->", q, q),
-        np.einsum("jpq,jpq->", row, row),
-        np.einsum("pq,pq->", total, total),
+    d2 = np.einsum("apcq,apcq->", q, q)
+    kept = [
+        d2,
         np.einsum("jpq,jpq->", q_diag, q_diag),
-        np.einsum("jpq,jpq->", q_diag, row),
-        np.einsum("pq,pq->", diag_sum, total),
-        np.einsum("jpq,jqp->", row, row),
         np.einsum("pq,pq->", diag_sum, diag_sum),
         np.einsum("jpcq,jqcp->", q, q),
     ]
     got = _kernels.within_group_scalars(brute_gram(z, w), shape[1])
-    assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
-
-
-def test_k4_first_term_brute_force():
-    rng = np.random.default_rng(3)
-    c = rng.normal(size=(9, 4, 11))
-    w = rng.uniform(0.05, 1.0, size=11)
-    expected = sum(
-        float(np.sum(np.einsum("pt,qt,t->pq", cj, cj, w) ** 2)) for cj in c
-    )
-    got = _kernels.k4_first_term(brute_gram(c, w), 4)
-    assert got == pytest.approx(expected, rel=1e-12)
+    assert np.allclose(got, kept, rtol=1e-12, atol=1e-12)
+    # Centered curves make the other five aggregates (<DU>, <U^2>, <V>, <W>,
+    # <W12>) vanish; the shortened expansion in dof rests on this.
+    dropped = [
+        np.einsum("jpq,jpq->", row, row),
+        np.einsum("pq,pq->", total, total),
+        np.einsum("jpq,jpq->", q_diag, row),
+        np.einsum("pq,pq->", diag_sum, total),
+        np.einsum("jpq,jqp->", row, row),
+    ]
+    assert np.all(np.abs(dropped) < 1e-12 * d2)
+    # <E2> is the first term of k4: the summed squared self-block integrals.
+    self_blocks = sum(float(np.sum(np.einsum("pt,qt,t->pq", zj, zj, w) ** 2)) for zj in z)
+    assert got[1] == pytest.approx(self_blocks, rel=1e-12)
 
 
 def test_pair_trace_integrals_brute_force_from_upper_block():

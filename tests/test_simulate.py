@@ -141,6 +141,24 @@ def test_sample_curves_shapes_and_means():
     assert np.allclose(grand, 1.0, atol=0.5)
 
 
+def test_sample_curves_dense_basis_matches_einsum_definition():
+    # A dense basis exercises every term of the product, unlike the sparse
+    # component basis.
+    k, p, q, m, n = 3, 4, 5, 9, (6, 7, 8)
+    grid = make_uniform_grid(m, 0.0, 1.0)
+    rng = np.random.default_rng(12)
+    means = rng.normal(size=(k, p, m))
+    lam = rng.uniform(0.1, 2.0, size=(k, q))
+    basis = rng.normal(size=(q, p, m))
+    ds = sample_curves(means, lam, basis, n, 2, np.random.default_rng(5))
+    ref_rng = np.random.default_rng(5)
+    for i in range(k):
+        eps = draw_innovations(ref_rng, (n[i], q), 2)
+        expected = means[i] + np.einsum("jr,rpm->jpm", eps * np.sqrt(lam[i]), basis)
+        assert np.allclose(ds.group_values(i), expected, rtol=1e-12, atol=1e-12)
+    assert np.array_equal(ds.grid.points, grid.points)
+
+
 def test_size_power_study_single_rep_rate_in_0_or_100():
     cfg = SimConfig(n=(5, 5, 5, 5), rho=0.5, model=1, reps=1, seed=3)
     res = size_power_study(cfg)
@@ -169,6 +187,24 @@ def test_size_power_study_matches_per_replication_seeds():
     assert res.rejections == rejections
     assert res.errored == errored
     assert res.completed == STUDY_CFG.reps - errored
+
+
+def test_size_power_study_builds_setting_constants_once(monkeypatch):
+    calls = {"component_stream_basis": 0, "mean_functions": 0}
+
+    def counted(name):
+        original = getattr(simulate, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(simulate, name, counted(name))
+    size_power_study(STUDY_CFG)
+    assert calls == {"component_stream_basis": 1, "mean_functions": 1}
 
 
 def test_size_power_study_errored_replication_accounting(monkeypatch):
