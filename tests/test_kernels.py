@@ -66,9 +66,20 @@ def test_within_group_scalars_brute_force(shape):
         np.einsum("jpq,jqp->", row, row),
     ]
     assert np.all(np.abs(dropped) < 1e-12 * d2)
-    # <E2> is the first term of k4: the summed squared self-block integrals.
-    self_blocks = sum(float(np.sum(np.einsum("pt,qt,t->pq", zj, zj, w) ** 2)) for zj in z)
-    assert got[1] == pytest.approx(self_blocks, rel=1e-12)
+
+
+def test_k4_first_term_brute_force():
+    # The first term of k4 is the <E2> aggregate: the summed squared
+    # self-block integrals of the centered curves.
+    rng = np.random.default_rng(3)
+    raw = rng.normal(loc=3.0, size=(9, 4, 11))
+    c = raw - raw.mean(axis=0)
+    w = rng.uniform(0.05, 1.0, size=11)
+    expected = sum(
+        float(np.sum(np.einsum("pt,qt,t->pq", cj, cj, w) ** 2)) for cj in c
+    )
+    got = _kernels.within_group_scalars(brute_gram(c, w), 4)[1]
+    assert got == pytest.approx(expected, rel=1e-12)
 
 
 def test_pair_trace_integrals_brute_force_from_upper_block():
