@@ -126,36 +126,23 @@ def cmd_simulate(args) -> int:
         code = EXIT_DEGENERATE if isinstance(exc, DegeneracyError) else EXIT_INPUT
         return _fail(code, type(exc).__name__, str(exc))
 
+    are = {}
+    if len(results) > 1:
+        alpha_pct = 100.0 * results[0].config.alpha
+        are = {
+            name: are_metric([r.rate_percent(name) for r in results], alpha_pct)
+            for name in STATISTIC_NAMES
+        }
     rows = []
     for result in results:
         rows.extend(_study_rows(result))
+    for name, value in are.items():
+        row = dict.fromkeys(RATE_COLUMNS, "")
+        row.update(kind="are", reps=len(results), statistic=name, rate_pct=value)
+        rows.append(row)
     lines = [",".join(RATE_COLUMNS)]
     for row in rows:
         lines.append(",".join(_format_value(row[col]) for col in RATE_COLUMNS))
-    if len(results) > 1:
-        for name in STATISTIC_NAMES:
-            rates = [r.rate_percent(name) for r in results]
-            are = are_metric(rates, 100.0 * results[0].config.alpha)
-            lines.append(
-                ",".join(
-                    [
-                        "are",
-                        "",
-                        "",
-                        "",
-                        "",
-                        "",
-                        "",
-                        "",
-                        str(len(results)),
-                        "",
-                        "",
-                        name,
-                        "",
-                        repr(are),
-                    ]
-                )
-            )
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -179,13 +166,8 @@ def cmd_simulate(args) -> int:
             for r in results
         ]
     }
-    if len(results) > 1:
-        summary["are"] = {
-            name: are_metric(
-                [r.rate_percent(name) for r in results], 100.0 * results[0].config.alpha
-            )
-            for name in STATISTIC_NAMES
-        }
+    if are:
+        summary["are"] = are
     with open(_summary_path(args.out), "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)
     return EXIT_OK

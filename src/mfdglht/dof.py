@@ -22,14 +22,19 @@ reductions for one group or pair under any pooled matrix;
 ``ustat_within_naive``, the correctness oracle for small groups,
 enumerates every distinct index tuple as the defining sums read.
 
-``true_dof`` evaluates the same degrees-of-freedom formulas from known
-covariance structures, which simulation tests use as the ground truth.
+Each formula after the Gram is written once, as array code over groups:
+``_within_functionals`` turns every group's aggregates into its four
+functionals, and ``_denominator_terms`` forms the per-group B and E
+brackets and the between-group B sum of the degrees-of-freedom
+denominators. ``dof_estimates`` clamps the brackets at zero;
+``true_dof`` evaluates the same terms from known covariance structures,
+unclamped, as the ground truth for simulation tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -100,37 +105,60 @@ def _require_replication(ds: FunctionalDataset, i: int) -> int:
     return n_i
 
 
-def _combine_scalars(scalars: np.ndarray, n: int) -> WithinGroupUStats:
-    """Assemble the three functionals from the four aggregate integrals of
-    centered curves.
-
-    This is the inclusion-exclusion over distinct index tuples with the
-    five aggregates that centering makes zero left out (see
-    ``_kernels.within_group_scalars``).
-    """
-    i_d2, i_e2, i_f2, i_f2x = scalars
-    d2 = n * (n - 1)
-    d3 = d2 * (n - 2)
-    d4 = d3 * (n - 3)
-    # Shared 4-distinct-index complete-sum expansion (identical for all three
-    # functionals because relabeling distinct tuples is a bijection).
-    t4 = i_d2 + i_f2 + i_f2x - 6 * i_e2
-    i_hat = (i_d2 - i_e2) / d2 + 2 * (i_d2 - 2 * i_e2) / d3 + t4 / d4
-    t_hat = (i_f2x - i_e2) / d2 + 2 * (i_f2x - 2 * i_e2) / d3 + t4 / d4
-    tr2_hat = (i_f2 - i_e2) / d2 + 2 * (i_f2 - 2 * i_e2) / d3 + t4 / d4
-    return WithinGroupUStats(float(i_hat), float(t_hat), float(tr2_hat))
-
-
 def _standardized_gram(ds: FunctionalDataset, groups, omega: OmegaHat, w: QuadWeights):
     """Upper triangle of the Gram of the prepared curves of ``groups`` under ``omega``."""
     _, curves = _centered_weighted(ds, w, groups)
     return _kernels.gram_upper((omega.inv_sqrt @ curves).reshape(-1, ds.m))
 
 
-def _k4(e2: float, n: int, within: WithinGroupUStats) -> float:
-    """Kurtosis functional; its first term, the summed squared self-kernel
-    integral of the centered curves, is the aggregate <E2>."""
-    return float(e2 / (n - 1) - within.tr_sigma2_hat - within.i_hat - within.t_hat)
+def _within_functionals(scalars: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Rows i_hat, t_hat, tr_sigma2_hat and k4_hat, one column per group,
+    from the (k, 4) aggregate integrals of centered curves and the group sizes.
+
+    The first three are the inclusion-exclusion over distinct index tuples
+    with the five aggregates that centering makes zero left out (see
+    ``_kernels.within_group_scalars``). The kurtosis functional's first
+    term, the summed squared self-kernel integral, is the aggregate <E2>.
+    """
+    i_d2, i_e2, i_f2, i_f2x = scalars.T
+    d2 = n * (n - 1)
+    d3 = d2 * (n - 2)
+    d4 = d3 * (n - 3)
+    # Each functional's 2- and 3-index sums read its own complete sum; the
+    # 4-distinct-index expansion is shared, because relabeling distinct
+    # tuples is a bijection.
+    own = np.stack([i_d2, i_f2x, i_f2])
+    t4 = i_d2 + i_f2 + i_f2x - 6 * i_e2
+    i_hat, t_hat, tr2_hat = (own - i_e2) / d2 + 2 * (own - 2 * i_e2) / d3 + t4 / d4
+    k4 = i_e2 / (n - 1) - tr2_hat - i_hat - t_hat
+    return np.stack([i_hat, t_hat, tr2_hat, k4])
+
+
+def _one_group_functionals(ds: FunctionalDataset, i: int, omega: OmegaHat, w: QuadWeights):
+    """``_within_functionals`` of group ``i`` alone, standardized by ``omega``."""
+    n_i = _require_replication(ds, i)
+    gram = _standardized_gram(ds, (i,), omega, w)
+    block = _kernels.symmetric_block(gram, 0, n_i * ds.p)
+    scalars = _kernels.within_group_scalars(block, ds.p)
+    return _within_functionals(scalars[None], np.array([n_i], dtype=np.float64))[:, 0].tolist()
+
+
+def _denominator_terms(hn: np.ndarray, n: np.ndarray, k4: np.ndarray, it: np.ndarray):
+    """The pieces of both degrees-of-freedom denominators.
+
+    ``it`` is the k x k matrix of I + T functionals: within-group on the
+    diagonal, between-group off it. Returns the per-group B and E brackets
+    as the rows of a (2, k) array, and the summed off-diagonal B terms.
+    Each denominator is sum_i hn_ii^2 bracket_i, plus the off-diagonal sum
+    for B; each bracket estimates a variance, which the estimator clamps at
+    zero and the true-parameter formula does not.
+    """
+    it_diag = np.diag(it)
+    kurt = k4 / n**3
+    brackets = np.stack([kurt + it_diag / n**2, kurt + it_diag / (n**2 * (n - 1))])
+    off = hn**2 * it / np.outer(n, n)
+    np.fill_diagonal(off, 0.0)
+    return brackets, float(off.sum())
 
 
 def _cross_from_block(block: np.ndarray, n1: int, n2: int, p: int) -> tuple[float, float]:
@@ -146,10 +174,8 @@ def ustat_within_fast(
     w: QuadWeights,
 ) -> WithinGroupUStats:
     """Within-group trace functionals via the aggregate-kernel fast path."""
-    n_i = _require_replication(ds, i)
-    gram = _standardized_gram(ds, (i,), omega, w)
-    block = _kernels.symmetric_block(gram, 0, n_i * ds.p)
-    return _combine_scalars(_kernels.within_group_scalars(block, ds.p), n_i)
+    i_hat, t_hat, tr2_hat, _ = _one_group_functionals(ds, i, omega, w)
+    return WithinGroupUStats(i_hat, t_hat, tr2_hat)
 
 
 def ustat_within_naive(
@@ -207,12 +233,11 @@ def k4_hat(
 
     First term is the average squared self-kernel of the centered
     standardized curves; the three within-group functionals are then
-    subtracted.
+    subtracted. They are recomputed from the same Gram block as the first
+    term, where they equal the group's ``ustat_within_fast`` result, so
+    ``within`` is not read.
     """
-    n_i = _require_replication(ds, i)
-    gram = _standardized_gram(ds, (i,), omega, w)
-    block = _kernels.symmetric_block(gram, 0, n_i * ds.p)
-    return _k4(_kernels.within_group_scalars(block, ds.p)[1], n_i, within)
+    return _one_group_functionals(ds, i, omega, w)[3]
 
 
 def cross_terms(
@@ -256,63 +281,43 @@ def dof_estimates(
         _require_replication(ds, i)
     if glht is None:
         glht = build_glht(ds, spec, w)
-    hn = glht.hn
+    p = ds.p
     sizes = ds.n
     n = np.asarray(sizes, dtype=np.float64)
-    k = ds.k
-    p = ds.p
     gram = _kernels.gram_upper(glht.standardized.reshape(-1, ds.m))
     bounds = p * np.cumsum([0, *sizes])
+    rows = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
-    within = []
-    for i in range(k):
-        block = _kernels.symmetric_block(gram, bounds[i], bounds[i + 1])
-        scalars = _kernels.within_group_scalars(block, p)
-        stats = _combine_scalars(scalars, sizes[i])
-        within.append(stats.with_k4(_k4(scalars[1], sizes[i], stats)))
+    scalars = np.array(
+        [
+            _kernels.within_group_scalars(_kernels.symmetric_block(gram, r.start, r.stop), p)
+            for r in rows
+        ]
+    )
+    functionals = _within_functionals(scalars, n)
+    i_cross = np.diag(functionals[0])
+    t_cross = np.diag(functionals[1])
+    for (i1, r1), (i2, r2) in combinations(enumerate(rows), 2):
+        iv, tv = _cross_from_block(gram[r1, r2], sizes[i1], sizes[i2], p)
+        i_cross[i1, i2] = i_cross[i2, i1] = iv
+        t_cross[i1, i2] = t_cross[i2, i1] = tv
 
-    i_cross = np.diag([stats.i_hat for stats in within])
-    t_cross = np.diag([stats.t_hat for stats in within])
-    for i1 in range(k):
-        for i2 in range(i1 + 1, k):
-            block = gram[bounds[i1] : bounds[i1 + 1], bounds[i2] : bounds[i2 + 1]]
-            iv, tv = _cross_from_block(block, sizes[i1], sizes[i2], p)
-            i_cross[i1, i2] = i_cross[i2, i1] = iv
-            t_cross[i1, i2] = t_cross[i2, i1] = tv
-
-    h_diag = np.diag(hn)
-    db_denom = 0.0
-    de_denom = 0.0
-    clamped_b = []
-    clamped_e = []
-    for i in range(k):
-        k4 = within[i].k4_hat
-        it_sum = within[i].i_hat + within[i].t_hat
-        bracket_b = float(k4 / n[i] ** 3 + it_sum / n[i] ** 2)
-        bracket_e = float(k4 / n[i] ** 3 + it_sum / (n[i] ** 2 * (n[i] - 1)))
-        clamped_b.append(bracket_b < 0)
-        clamped_e.append(bracket_e < 0)
-        db_denom += h_diag[i] ** 2 * max(bracket_b, 0.0)
-        de_denom += h_diag[i] ** 2 * max(bracket_e, 0.0)
-    for i1 in range(k):
-        for i2 in range(k):
-            if i1 != i2:
-                db_denom += (
-                    hn[i1, i2] ** 2 * (i_cross[i1, i2] + t_cross[i1, i2]) / (n[i1] * n[i2])
-                )
+    brackets, off_sum = _denominator_terms(glht.hn, n, functionals[3], i_cross + t_cross)
+    db_denom, de_denom = np.maximum(brackets, 0.0) @ np.diag(glht.hn) ** 2 + (off_sum, 0.0)
     if db_denom <= 0 or de_denom <= 0:
         raise DegenerateDofError(
             "degrees-of-freedom denominator is nonpositive after clamping; "
             "the data carry no usable variation"
         )
+    clamped_b, clamped_e = (tuple(flags) for flags in (brackets < 0).tolist())
     return DofEstimate(
         d_b=float(p * (p + 1) / db_denom),
         d_e=float(p * (p + 1) / de_denom),
-        within=tuple(within),
+        within=tuple(WithinGroupUStats(*group) for group in functionals.T.tolist()),
         i_cross=i_cross,
         t_cross=t_cross,
-        clamped_b=tuple(clamped_b),
-        clamped_e=tuple(clamped_e),
+        clamped_b=clamped_b,
+        clamped_e=clamped_e,
     )
 
 
@@ -453,14 +458,8 @@ def true_dof(
     if k4.size != k:
         raise ValidationError("kurtosis must supply one value per group")
 
-    db_denom = float(np.sum(h_diag**2 * k4 / n**3))
-    de_denom = db_denom
-    for i1 in range(k):
-        for i2 in range(k):
-            db_denom += hn[i1, i2] ** 2 * (i_star[i1, i2] + t_star[i1, i2]) / (n[i1] * n[i2])
-    de_denom += float(
-        np.sum(h_diag**2 * (np.diag(i_star) + np.diag(t_star)) / (n**2 * (n - 1)))
-    )
+    brackets, off_sum = _denominator_terms(hn, n, k4, i_star + t_star)
+    db_denom, de_denom = brackets @ h_diag**2 + (off_sum, 0.0)
     if db_denom <= 0 or de_denom <= 0:
         raise DegenerateDofError("true-parameter DoF denominator is nonpositive")
     return TrueDof(

@@ -24,7 +24,7 @@ from .errors import (
     ValidationError,
 )
 from .glht import ContrastSpec, build_glht
-from .grid import quad_weights
+from .grid import QuadWeights, quad_weights
 
 __all__ = [
     "TestStatistics",
@@ -297,6 +297,16 @@ def f_approx_mfp(t: float, p: int, d_b: float, d_e: float) -> FApprox:
     )
 
 
+def _dof_and_statistics(
+    ds: FunctionalDataset, spec: ContrastSpec, w: QuadWeights
+) -> tuple[DofEstimate, TestStatistics]:
+    """The estimated degrees of freedom and the three statistics of the
+    DoF-scaled hypothesis and error matrices."""
+    glht = build_glht(ds, spec, w)
+    dof = dof_estimates(ds, spec, w, glht=glht)
+    return dof, statistics(dof.d_b * glht.bn, dof.d_e * glht.en)
+
+
 def run_glht(
     ds: FunctionalDataset,
     spec: ContrastSpec,
@@ -305,12 +315,7 @@ def run_glht(
     """Run all three tests end to end on one dataset and contrast."""
     if not (0.0 < alpha < 1.0):
         raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
-    w = quad_weights(ds.grid)
-    glht = build_glht(ds, spec, w)
-    dof = dof_estimates(ds, spec, w, glht=glht)
-    m1 = dof.d_b * glht.bn
-    m2 = dof.d_e * glht.en
-    stats = statistics(m1, m2)
+    dof, stats = _dof_and_statistics(ds, spec, quad_weights(ds.grid))
     p = ds.p
     approx = {
         "mfw": f_approx_mfw(stats.mfw, p, dof.d_b, dof.d_e),

@@ -26,10 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import FunctionalDataset, GroupSample
-from .dof import dof_estimates
 from .errors import DegeneracyError, InputError, ValidationError
-from .fstats import STATISTIC_NAMES, run_glht, statistics
-from .glht import ContrastSpec, build_glht, oneway_contrast
+from .fstats import STATISTIC_NAMES, _dof_and_statistics, run_glht
+from .glht import ContrastSpec, oneway_contrast
 from .grid import Grid, make_uniform_grid, quad_weights
 
 __all__ = [
@@ -454,10 +453,7 @@ def permutation_pvalue(
     w = quad_weights(ds.grid)
 
     def stat_value(dataset: FunctionalDataset) -> float:
-        glht = build_glht(dataset, spec, w)
-        dof = dof_estimates(dataset, spec, w, glht=glht)
-        stats = statistics(dof.d_b * glht.bn, dof.d_e * glht.en)
-        return _evidence(statistic, stats)
+        return _evidence(statistic, _dof_and_statistics(dataset, spec, w)[1])
 
     observed = stat_value(ds)
     pooled = np.concatenate([g.values for g in ds.groups], axis=0)

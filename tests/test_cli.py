@@ -120,7 +120,12 @@ def test_cmd_simulate_and_report(tmp_path):
     assert len(are_rows) == 3
     summary = json.loads((tmp_path / "rates.summary.json").read_text())
     assert len(summary["settings"]) == 2
-    assert "are" in summary
+    assert set(summary["are"]) == {"mfw", "mflh", "mfp"}
+    header = lines[0].split(",")
+    for line in are_rows:
+        row = dict(zip(header, line.split(",")))
+        assert int(row["reps"]) == len(summary["settings"])
+        assert float(row["rate_pct"]) == summary["are"][row["statistic"]]
 
     svg_out = tmp_path / "fig.svg"
     assert main(["report", "--in", str(out), "--format", "svg", "--out", str(svg_out)]) == 0

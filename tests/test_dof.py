@@ -353,6 +353,22 @@ def test_dof_estimates_match_naive_pipeline():
     assert fast.d_b > 0 and fast.d_e > 0
 
 
+def test_dof_clamps_negative_brackets():
+    # Four +-1 two-point curves per group: the kurtosis estimate is negative
+    # enough that a variance bracket falls below zero and is clamped.
+    rng = np.random.default_rng(25)
+    ds = dataset_from([rng.choice([-1.0, 1.0], size=(4, 1, 4)) for _ in range(2)], m=4)
+    w = quad_weights(ds.grid)
+    spec = oneway_contrast(2)
+    dof = dof_estimates(ds, spec, w)
+    assert dof.clamped_b == (False, True)
+    assert dof.clamped_e == (False, True)
+    assert dof.any_clamped
+    d_b, d_e, _, _ = _assembled_from_wrappers(ds, spec, w)
+    assert dof.d_b == pytest.approx(d_b, rel=1e-12)
+    assert dof.d_e == pytest.approx(d_e, rel=1e-12)
+
+
 @pytest.mark.parametrize("case", ["zero_column", "c0", "oneway"])
 def test_dof_estimates_match_public_wrappers(case, monkeypatch):
     rng = np.random.default_rng({"zero_column": 41, "c0": 42, "oneway": 43}[case])
@@ -457,6 +473,44 @@ def test_run_glht_affine_invariance_at_large_magnitudes(case):
             summary(mapped)
         return
     assert summary(mapped) == pytest.approx(base, rel=1e-8)
+
+
+@st.composite
+def relabel_cases(draw):
+    """A dataset with unequal group sizes, a contrast, and a relabeling of both."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k, p, m = draw(st.integers(2, 4)), draw(st.integers(1, 3)), draw(st.integers(3, 8))
+    sizes = draw(st.lists(st.integers(4, 9), min_size=k, max_size=k, unique=True))
+    groups = [rng.normal(size=(n, p, m)) * rng.uniform(0.5, 2.0) for n in sizes]
+    q = draw(st.integers(1, k - 1))
+    c0 = rng.normal(size=(q, p, m)) if draw(st.booleans()) else None
+    spec = ContrastSpec(rng.normal(size=(q, k)), c0)
+    perm = rng.permutation(k)
+    relabeled = [groups[g][rng.permutation(sizes[g])] for g in perm]
+    return groups, spec, relabeled, ContrastSpec(spec.c[:, perm], c0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=relabel_cases())
+def test_run_glht_invariant_to_relabeling(case):
+    # Permuting the groups (with C's columns) and the observations within each
+    # group leaves every quantity of the test unchanged.
+    groups, spec, relabeled, relabeled_spec = case
+    m = groups[0].shape[2]
+
+    def summary(curves, contrast):
+        report = run_glht(dataset_from(curves, m=m), contrast)
+        return [report.dof.d_b, report.dof.d_e] + [
+            report.p_values[name] for name in ("mfw", "mflh", "mfp")
+        ]
+
+    try:
+        base = summary(groups, spec)
+    except MfdGlhtError:
+        with pytest.raises(MfdGlhtError):
+            summary(relabeled, relabeled_spec)
+        return
+    assert summary(relabeled, relabeled_spec) == pytest.approx(base, rel=1e-8)
 
 
 def test_dof_affine_invariance():
