@@ -12,7 +12,6 @@ from .dof import (
     separable_trace_integrals,
     true_dof,
     ustat_within_fast,
-    ustat_within_naive,
 )
 from .errors import (
     ApproximationUndefinedError,

@@ -58,10 +58,13 @@ class FunctionalDataset:
 
     grid: Grid
     groups: tuple[GroupSample, ...] = field(repr=False)
+    # Group sizes, fixed at construction: the hot paths read them per group.
+    n: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "groups", tuple(self.groups))
         validate(self)
+        object.__setattr__(self, "n", tuple(g.n_obs for g in self.groups))
 
     @property
     def k(self) -> int:
@@ -74,10 +77,6 @@ class FunctionalDataset:
     @property
     def m(self) -> int:
         return self.grid.m
-
-    @property
-    def n(self) -> tuple[int, ...]:
-        return tuple(g.n_obs for g in self.groups)
 
     def group_values(self, i: int) -> np.ndarray:
         return self.groups[i].values

@@ -17,24 +17,24 @@ U-statistics are invariant to a common shift, so centering changes no
 exact value. It removes the cancellation that a large offset of the
 curves would otherwise cause, and it makes five of the rewrite's nine
 aggregates exactly zero, so only the other four are formed.
-``ustat_within_fast``, ``k4_hat`` and ``cross_terms`` run the same
-reductions for one group or pair under any pooled matrix;
-``ustat_within_naive``, the correctness oracle for small groups,
-enumerates every distinct index tuple as the defining sums read.
+``ustat_within_fast`` (all four functionals of one group) and
+``cross_terms`` (one pair) run the same reductions under any pooled
+matrix. The oracles these reductions are tested against, distinct-tuple
+enumeration and dense-kernel quadrature, live in the test suite.
 
 Each formula after the Gram is written once, as array code over groups:
 ``_within_functionals`` turns every group's aggregates into its four
 functionals, and ``_denominator_terms`` forms the per-group B and E
 brackets and the between-group B sum of the degrees-of-freedom
 denominators. ``dof_estimates`` clamps the brackets at zero;
-``true_dof`` evaluates the same terms from known covariance structures,
-unclamped, as the ground truth for simulation tests.
+``true_dof`` evaluates the same terms from known separable covariance
+structures, unclamped, as the ground truth for simulation tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from itertools import combinations, permutations
+from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -55,7 +55,6 @@ __all__ = [
     "DofEstimate",
     "SeparableCovariances",
     "TrueDof",
-    "ustat_within_naive",
     "ustat_within_fast",
     "k4_hat",
     "cross_terms",
@@ -72,10 +71,7 @@ class WithinGroupUStats:
     i_hat: float
     t_hat: float
     tr_sigma2_hat: float
-    k4_hat: float | None = None
-
-    def with_k4(self, value: float) -> "WithinGroupUStats":
-        return replace(self, k4_hat=float(value))
+    k4_hat: float
 
 
 @dataclass(frozen=True)
@@ -95,14 +91,13 @@ class DofEstimate:
         return any(self.clamped_b) or any(self.clamped_e)
 
 
-def _require_replication(ds: FunctionalDataset, i: int) -> int:
-    n_i = ds.n[i]
-    if n_i < 4:
-        raise InsufficientReplicationError(
-            f"group {i + 1} has n={n_i} observations; the distinct-index "
-            f"U-statistics require n >= 4"
-        )
-    return n_i
+def _require_replication(sizes: tuple[int, ...], groups) -> None:
+    for i in groups:
+        if sizes[i] < 4:
+            raise InsufficientReplicationError(
+                f"group {i + 1} has n={sizes[i]} observations; the distinct-index "
+                f"U-statistics require n >= 4"
+            )
 
 
 def _standardized_gram(ds: FunctionalDataset, groups, omega: OmegaHat, w: QuadWeights):
@@ -132,15 +127,6 @@ def _within_functionals(scalars: np.ndarray, n: np.ndarray) -> np.ndarray:
     i_hat, t_hat, tr2_hat = (own - i_e2) / d2 + 2 * (own - 2 * i_e2) / d3 + t4 / d4
     k4 = i_e2 / (n - 1) - tr2_hat - i_hat - t_hat
     return np.stack([i_hat, t_hat, tr2_hat, k4])
-
-
-def _one_group_functionals(ds: FunctionalDataset, i: int, omega: OmegaHat, w: QuadWeights):
-    """``_within_functionals`` of group ``i`` alone, standardized by ``omega``."""
-    n_i = _require_replication(ds, i)
-    gram = _standardized_gram(ds, (i,), omega, w)
-    block = _kernels.symmetric_block(gram, 0, n_i * ds.p)
-    scalars = _kernels.within_group_scalars(block, ds.p)
-    return _within_functionals(scalars[None], np.array([n_i], dtype=np.float64))[:, 0].tolist()
 
 
 def _denominator_terms(hn: np.ndarray, n: np.ndarray, k4: np.ndarray, it: np.ndarray):
@@ -173,53 +159,17 @@ def ustat_within_fast(
     omega: OmegaHat,
     w: QuadWeights,
 ) -> WithinGroupUStats:
-    """Within-group trace functionals via the aggregate-kernel fast path."""
-    i_hat, t_hat, tr2_hat, _ = _one_group_functionals(ds, i, omega, w)
-    return WithinGroupUStats(i_hat, t_hat, tr2_hat)
+    """All four within-group functionals of group ``i``, standardized by ``omega``.
 
-
-def ustat_within_naive(
-    ds: FunctionalDataset, i: int, omega: OmegaHat, w: QuadWeights
-) -> WithinGroupUStats:
-    """Within-group trace functionals by literal distinct-tuple enumeration.
-
-    Quadratic-integral tables are precomputed per index pair; the 2-, 3-,
-    and 4-index sums then run over explicit tuples of distinct indices.
-    Intended for small n as the correctness oracle for the fast path.
+    The same block reductions and ``_within_functionals`` that
+    ``dof_estimates`` runs over every group, on this group's Gram alone.
     """
-    n_i = _require_replication(ds, i)
-    z = np.einsum("pq,jqt->jpt", omega.inv_sqrt, ds.group_values(i))
-    wv = w.weights
-    delta = np.einsum("apt,bps->abts", z, z)
-    # ja[a,b,c,d] integrates delta_ab(t,s) * delta_cd(t,s);
-    # jb[a,b,c,d] integrates delta_ab(s,t) * delta_cd(t,s).
-    ja = np.einsum("abts,cdts,t,s->abcd", delta, delta, wv, wv)
-    jb = np.einsum("abst,cdts,s,t->abcd", delta, delta, wv, wv)
-    pairs = np.array(list(permutations(range(n_i), 2)))
-    triples = np.array(list(permutations(range(n_i), 3)))
-    quads = np.array(list(permutations(range(n_i), 4)))
-    d2 = n_i * (n_i - 1)
-    d3 = d2 * (n_i - 2)
-    d4 = d3 * (n_i - 3)
-    a, b = pairs[:, 0], pairs[:, 1]
-    a3, b3, c3 = triples[:, 0], triples[:, 1], triples[:, 2]
-    a4, b4, c4, d4i = quads[:, 0], quads[:, 1], quads[:, 2], quads[:, 3]
-    i_hat = (
-        ja[a, a, b, b].sum() / d2
-        - 2 * ja[a3, a3, b3, c3].sum() / d3
-        + ja[a4, b4, c4, d4i].sum() / d4
-    )
-    t_hat = (
-        ja[a, b, b, a].sum() / d2
-        - 2 * ja[a3, b3, c3, a3].sum() / d3
-        + ja[b4, c4, d4i, a4].sum() / d4
-    )
-    tr2_hat = (
-        jb[a, b, b, a].sum() / d2
-        - 2 * jb[a3, b3, c3, a3].sum() / d3
-        + jb[b4, c4, d4i, a4].sum() / d4
-    )
-    return WithinGroupUStats(float(i_hat), float(t_hat), float(tr2_hat))
+    _require_replication(ds.n, (i,))
+    n_i = ds.n[i]
+    gram = _standardized_gram(ds, (i,), omega, w)
+    scalars = _kernels.within_group_scalars(_kernels.symmetric_block(gram, 0, n_i * ds.p), ds.p)
+    functionals = _within_functionals(scalars[None], np.array([n_i], dtype=np.float64))
+    return WithinGroupUStats(*functionals[:, 0].tolist())
 
 
 def k4_hat(
@@ -229,15 +179,13 @@ def k4_hat(
     w: QuadWeights,
     within: WithinGroupUStats,
 ) -> float:
-    """Kurtosis functional estimate for group ``i``.
+    """Kurtosis functional estimate for group ``i``: ``ustat_within_fast``'s ``k4_hat``.
 
-    First term is the average squared self-kernel of the centered
-    standardized curves; the three within-group functionals are then
-    subtracted. They are recomputed from the same Gram block as the first
-    term, where they equal the group's ``ustat_within_fast`` result, so
-    ``within`` is not read.
+    ``within`` is accepted for the call's established signature and not
+    read; the three functionals subtracted are recomputed from the same
+    Gram block as the first term.
     """
-    return _one_group_functionals(ds, i, omega, w)[3]
+    return ustat_within_fast(ds, i, omega, w).k4_hat
 
 
 def cross_terms(
@@ -277,12 +225,11 @@ def dof_estimates(
     contribution estimates a variance and is clamped at zero from below;
     clamping is reported per group in the result's diagnostics.
     """
-    for i in range(ds.k):
-        _require_replication(ds, i)
+    sizes = ds.n
+    _require_replication(sizes, range(ds.k))
     if glht is None:
         glht = build_glht(ds, spec, w)
     p = ds.p
-    sizes = ds.n
     n = np.asarray(sizes, dtype=np.float64)
     gram = _kernels.gram_upper(glht.standardized.reshape(-1, ds.m))
     bounds = p * np.cumsum([0, *sizes])
@@ -393,32 +340,6 @@ def separable_trace_integrals(
     return i_mat, t_mat, tr_sigma2, sigma
 
 
-def _dense_trace_integrals(gammas, w: QuadWeights, inv_sqrt: np.ndarray | None = None):
-    kernels = [np.asarray(g, dtype=np.float64) for g in gammas]
-    p = kernels[0].shape[0]
-    for g in kernels:
-        if g.ndim != 4 or g.shape[0] != p or g.shape[1] != p:
-            raise ValidationError("dense covariance kernels must have shape (p, p, m, m)")
-    if inv_sqrt is not None:
-        kernels = [np.einsum("ha,abst,bl->hlst", inv_sqrt, g, inv_sqrt) for g in kernels]
-    wv = w.weights
-    k = len(kernels)
-    traces = [np.einsum("hhst->st", g) for g in kernels]
-    sigma = np.stack([np.einsum("hltt,t->hl", g, wv) for g in kernels])
-    i_mat = np.empty((k, k))
-    t_mat = np.empty((k, k))
-    for i1 in range(k):
-        for i2 in range(i1, k):
-            i_mat[i1, i2] = i_mat[i2, i1] = np.einsum(
-                "st,st,s,t->", traces[i1], traces[i2], wv, wv
-            )
-            t_mat[i1, i2] = t_mat[i2, i1] = np.einsum(
-                "hlst,lhst,s,t->", kernels[i1], kernels[i2], wv, wv
-            )
-    tr_sigma2 = np.einsum("ipq,iqp->i", sigma, sigma)
-    return i_mat, t_mat, tr_sigma2, sigma
-
-
 def true_dof(
     gammas,
     n,
@@ -426,34 +347,26 @@ def true_dof(
     w: QuadWeights,
     kurtosis=None,
 ) -> TrueDof:
-    """Degrees of freedom from known covariance structures.
+    """Degrees of freedom from known separable covariance structures.
 
-    ``gammas`` is either a ``SeparableCovariances`` or a sequence of dense
-    kernels of shape (p, p, m, m), one per group. ``kurtosis`` supplies the
-    per-group standardized kurtosis functionals (zero for Gaussian
-    processes, the default).
+    ``gammas`` is a ``SeparableCovariances``; any other input raises
+    ``ValidationError``. ``kurtosis`` supplies the per-group standardized
+    kurtosis functionals (zero for Gaussian processes, the default).
     """
+    if not isinstance(gammas, SeparableCovariances):
+        raise ValidationError("true_dof needs the covariances as a SeparableCovariances")
     n = np.asarray(n, dtype=np.float64)
     hn = np.asarray(hn, dtype=np.float64)
     k = n.size
-    if isinstance(gammas, SeparableCovariances):
-        raw = separable_trace_integrals(gammas.lambdas, gammas.basis, w)
-    else:
-        raw = _dense_trace_integrals(gammas, w)
-    sigma = raw[3]
+    *_, sigma = separable_trace_integrals(gammas.lambdas, gammas.basis, w)
     p = sigma.shape[1]
     h_diag = np.diag(hn)
     omega = np.einsum("i,ipq->pq", h_diag / n, sigma)
     omega = (omega + omega.T) / 2.0
     inv_sqrt = inv_sqrt_spd(omega)  # raises NotPositiveDefiniteError if degenerate
-    if isinstance(gammas, SeparableCovariances):
-        i_star, t_star, tr_sigma2_star, _ = separable_trace_integrals(
-            gammas.lambdas, gammas.basis, w, inv_sqrt=inv_sqrt
-        )
-    else:
-        i_star, t_star, tr_sigma2_star, _ = _dense_trace_integrals(
-            gammas, w, inv_sqrt=inv_sqrt
-        )
+    i_star, t_star, tr_sigma2_star, _ = separable_trace_integrals(
+        gammas.lambdas, gammas.basis, w, inv_sqrt=inv_sqrt
+    )
     k4 = np.zeros(k) if kurtosis is None else np.asarray(kurtosis, dtype=np.float64)
     if k4.size != k:
         raise ValidationError("kurtosis must supply one value per group")

@@ -1,4 +1,5 @@
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -24,11 +25,11 @@ from mfdglht import (
     separable_trace_integrals,
     true_dof,
     ustat_within_fast,
-    ustat_within_naive,
 )
 from mfdglht.glht import ContrastSpec, hn_matrix
 from mfdglht.moments import OmegaHat, inv_sqrt_spd
 from mfdglht.simulate import basis_functions, lambda_grid, scalar_basis
+from oracles import dense_trace_integrals, ustat_within_naive
 
 
 def dataset_from(groups, m):
@@ -116,7 +117,7 @@ def test_fast_equals_naive_random_instances():
         omega = random_omega(rng, p)
         a = ustat_within_naive(ds, 0, omega, w)
         b = ustat_within_fast(ds, 0, omega, w)
-        for name in ("i_hat", "t_hat", "tr_sigma2_hat"):
+        for name in ("i_hat", "t_hat", "tr_sigma2_hat", "k4_hat"):
             x, y = getattr(a, name), getattr(b, name)
             assert abs(x - y) <= 1e-9 * max(1.0, abs(x))
 
@@ -182,7 +183,7 @@ def test_within_fast_on_shifted_group_matches_naive_unshifted():
     omega = random_omega(rng, 3)
     naive = ustat_within_naive(ds, 0, omega, w)
     fast = ustat_within_fast(ds_shifted, 0, omega, w)
-    for name in ("i_hat", "t_hat", "tr_sigma2_hat"):
+    for name in ("i_hat", "t_hat", "tr_sigma2_hat", "k4_hat"):
         x, y = getattr(naive, name), getattr(fast, name)
         assert abs(x - y) <= 1e-9 * max(1.0, abs(x))
 
@@ -222,6 +223,7 @@ def test_k4_direct_evaluation_tiny_case():
     first /= 4.0
     expected = first - within.tr_sigma2_hat - within.i_hat - within.t_hat
     assert got == pytest.approx(expected, rel=1e-10)
+    assert within.k4_hat == pytest.approx(expected, rel=1e-10)
 
 
 def test_k4_gaussian_matches_exact_finite_sample_mean():
@@ -251,8 +253,7 @@ def test_k4_gaussian_matches_exact_finite_sample_mean():
     for r in range(reps):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([31, r])))
         ds = sample_curves(means, lam, basis, [n], 1, rng)
-        within = ustat_within_fast(ds, 0, omega, w)
-        vals[r] = k4_hat(ds, 0, omega, w, within)
+        vals[r] = ustat_within_fast(ds, 0, omega, w).k4_hat
     se = vals.std(ddof=1) / np.sqrt(reps)
     assert abs(vals.mean() - target) <= 4.5 * se
 
@@ -311,17 +312,14 @@ def test_cross_terms_reject_same_group():
 def _assembled_from_wrappers(ds, spec, w, within_stats=ustat_within_fast):
     """d_b, d_e and the per-group and per-pair terms, from the public per-call functions.
 
-    ``within_stats`` gives each group's within functionals; pass
+    ``within_stats`` gives each group's four within functionals; pass
     ``ustat_within_naive`` for the distinct-tuple oracle.
     """
     glht = build_glht(ds, spec, w)
     omega, hn = glht.omega, glht.hn
     n = np.asarray(ds.n, dtype=np.float64)
     k = ds.k
-    within = []
-    for i in range(k):
-        stats = within_stats(ds, i, omega, w)
-        within.append(stats.with_k4(k4_hat(ds, i, omega, w, stats)))
+    within = [within_stats(ds, i, omega, w) for i in range(k)]
     cross = np.zeros((2, k, k))
     for i in range(k):
         cross[:, i, i] = within[i].i_hat, within[i].t_hat
@@ -487,14 +485,18 @@ def relabel_cases(draw):
     spec = ContrastSpec(rng.normal(size=(q, k)), c0)
     perm = rng.permutation(k)
     relabeled = [groups[g][rng.permutation(sizes[g])] for g in perm]
-    return groups, spec, relabeled, ContrastSpec(spec.c[:, perm], c0)
+    # Singular values in [0.5, 2], as in the affine cases.
+    a = np.linalg.qr(rng.normal(size=(q, q)))[0] * rng.uniform(0.5, 2.0, size=q)
+    a_c0 = None if c0 is None else np.einsum("ab,bpt->apt", a, c0)
+    return groups, spec, relabeled, ContrastSpec(a @ spec.c[:, perm], a_c0)
 
 
 @settings(max_examples=50, deadline=None)
 @given(case=relabel_cases())
 def test_run_glht_invariant_to_relabeling(case):
     # Permuting the groups (with C's columns) and the observations within each
-    # group leaves every quantity of the test unchanged.
+    # group, and reparameterizing (C, C0) as (AC, AC0) with A invertible, leave
+    # every quantity of the test unchanged.
     groups, spec, relabeled, relabeled_spec = case
     m = groups[0].shape[2]
 
@@ -511,6 +513,29 @@ def test_run_glht_invariant_to_relabeling(case):
             summary(relabeled, relabeled_spec)
         return
     assert summary(relabeled, relabeled_spec) == pytest.approx(base, rel=1e-8)
+
+
+@st.composite
+def edge_size_cases(draw):
+    """Groups of 4 or 5 curves with p up to 12, so N = sum n_i comes close to p."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k, p, m = draw(st.integers(2, 4)), draw(st.integers(1, 12)), draw(st.integers(2, 6))
+    return [rng.normal(size=(draw(st.sampled_from((4, 5))), p, m)) for _ in range(k)]
+
+
+@settings(max_examples=50, deadline=None)
+@given(groups=edge_size_cases())
+def test_run_glht_at_edge_sizes_reports_or_raises_typed_error(groups):
+    ds = dataset_from(groups, m=groups[0].shape[2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            report = run_glht(ds, oneway_contrast(len(groups)))
+        except MfdGlhtError:
+            return
+    assert np.isfinite(report.dof.d_b) and report.dof.d_b > 0
+    assert np.isfinite(report.dof.d_e) and report.dof.d_e > 0
+    assert all(0.0 <= v <= 1.0 for v in report.p_values.values())
 
 
 def test_dof_affine_invariance():
@@ -583,7 +608,7 @@ def test_true_dof_single_group_ratio():
     assert td.d_e == pytest.approx(td.d_b * (n - 1), rel=1e-12)
 
 
-def test_true_dof_dense_matches_separable():
+def test_true_dof_dense_matches_separable(monkeypatch):
     grid = make_uniform_grid(9, 0.0, 1.0)
     w = quad_weights(grid)
     rng = np.random.default_rng(14)
@@ -596,6 +621,23 @@ def test_true_dof_dense_matches_separable():
     ]
     hn = hn_matrix(oneway_contrast(2).c, [6, 7])
     td_sep = true_dof(sep, [6, 7], hn, w)
-    td_dense = true_dof(dense, [6, 7], hn, w)
+    for inv_sqrt in (None, inv_sqrt_spd(td_sep.omega)):
+        separable = separable_trace_integrals(lam, basis, w, inv_sqrt=inv_sqrt)
+        for got, want in zip(separable, dense_trace_integrals(dense, w, inv_sqrt)):
+            assert np.allclose(got, want, rtol=1e-9, atol=0)
+    # The same degrees of freedom when true_dof reads the dense oracle's integrals.
+    monkeypatch.setattr(
+        "mfdglht.dof.separable_trace_integrals",
+        lambda lambdas, basis, w, inv_sqrt=None: dense_trace_integrals(dense, w, inv_sqrt),
+    )
+    td_dense = true_dof(sep, [6, 7], hn, w)
     assert td_sep.d_b == pytest.approx(td_dense.d_b, rel=1e-9)
     assert td_sep.d_e == pytest.approx(td_dense.d_e, rel=1e-9)
+
+
+def test_true_dof_rejects_dense_kernels():
+    grid = make_uniform_grid(5, 0.0, 1.0)
+    dense = [np.einsum("ps,qt->pqst", b, b) for b in np.ones((2, 2, grid.m))]
+    hn = hn_matrix(oneway_contrast(2).c, [6, 7])
+    with pytest.raises(ValidationError, match="SeparableCovariances"):
+        true_dof(dense, [6, 7], hn, quad_weights(grid))
