@@ -16,6 +16,10 @@ their median and quartiles, how many pairs each side won (ties count for
 neither), and whether the medians differ by more than the base's
 interquartile range. It also holds every run's failed-op count and the
 environment block perfbench printed for the first run.
+
+Each side also makes one ``--trace 1`` run, at seed 2 and the benchmark's
+``run_seconds``; the file keeps its per-layer metrics and failed-op count
+under ``traced``.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 ENV_PREFIX = "environment: "
 RUN_TIMEOUT_S = 900
+TRACE_SEED = 2
 
 
 def git(*args: str) -> str:
@@ -51,10 +56,11 @@ def unpack(rev: str, dest: Path) -> None:
     archive.unlink()
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``--trace 0`` run; its result line and environment block."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
+    """One perfbench run; its result line and environment block. A ``trace=1`` run
+    covers every workload, whichever ``workload`` names."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", f"{seconds:g}", "--trace", "0"]
+           "--seconds", f"{seconds:g}", "--trace", str(trace)]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
                           timeout=RUN_TIMEOUT_S)
     if done.returncode != 0:
@@ -105,7 +111,7 @@ def main(argv=None) -> int:
         "base": base_rev,
         "change": {"head": git("rev-parse", "HEAD"),
                    "dirty": bool(git("status", "--porcelain"))},
-        "command": "perfbench/run.py --trace 0",
+        "command": "perfbench/run.py --trace 0 (pairs), --trace 1 (traced)",
         "seconds": seconds,
         "pairs": args.pairs,
         "workloads": {},
@@ -132,6 +138,12 @@ def main(argv=None) -> int:
                 "attempted_ops": {side: [r["attempted"] for r in rs] for side, rs in runs.items()},
                 "metrics": summarize(bench["end_to_end"], runs),
             }
+        result["traced"] = {"seed": TRACE_SEED}
+        for side, checkout in sides.items():
+            traced = run_once(checkout, bench["workloads"][0]["name"], TRACE_SEED, seconds, 1)
+            print(f"traced {side} done", file=sys.stderr, flush=True)
+            result["traced"][side] = {key: traced[key]
+                                      for key in ("attempted", "failed", "metrics")}
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     return 0
 

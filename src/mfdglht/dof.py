@@ -43,12 +43,11 @@ from .dataset import FunctionalDataset
 from .errors import (
     DegenerateDofError,
     InsufficientReplicationError,
-    NotPositiveDefiniteError,
     ValidationError,
 )
 from .glht import ContrastSpec, GlhtMatrices, build_glht
 from .grid import QuadWeights
-from .moments import OmegaHat, _centered_weighted, inv_sqrt_spd
+from .moments import OmegaHat, _centered_weighted, omega_hat
 
 __all__ = [
     "WithinGroupUStats",
@@ -361,11 +360,9 @@ def true_dof(
     *_, sigma = separable_trace_integrals(gammas.lambdas, gammas.basis, w)
     p = sigma.shape[1]
     h_diag = np.diag(hn)
-    omega = np.einsum("i,ipq->pq", h_diag / n, sigma)
-    omega = (omega + omega.T) / 2.0
-    inv_sqrt = inv_sqrt_spd(omega)  # raises NotPositiveDefiniteError if degenerate
+    omega = omega_hat(sigma, h_diag, n)  # SingularOmegaError if degenerate
     i_star, t_star, tr_sigma2_star, _ = separable_trace_integrals(
-        gammas.lambdas, gammas.basis, w, inv_sqrt=inv_sqrt
+        gammas.lambdas, gammas.basis, w, inv_sqrt=omega.inv_sqrt
     )
     k4 = np.zeros(k) if kurtosis is None else np.asarray(kurtosis, dtype=np.float64)
     if k4.size != k:
@@ -378,7 +375,7 @@ def true_dof(
     return TrueDof(
         d_b=float(p * (p + 1) / db_denom),
         d_e=float(p * (p + 1) / de_denom),
-        omega=omega,
+        omega=omega.omega,
         i_star=i_star,
         t_star=t_star,
         tr_sigma2_star=tr_sigma2_star,

@@ -47,7 +47,7 @@ class SingularOmegaError(NotPositiveDefiniteError):
 
 
 class SingularErrorMatrixError(DegeneracyError):
-    """The error variation matrix (or M1 + M2) is not positive definite."""
+    """The error variation matrix is not positive definite."""
 
 
 class DegenerateDofError(DegeneracyError):

@@ -1,14 +1,17 @@
 """Test statistics, F-approximations, p-values, and the end-to-end test.
 
 Scaling the hypothesis and error variation matrices by their estimated
-degrees of freedom yields two approximately Wishart matrices M1 and M2;
-the Wilks, Lawley-Hotelling, and Pillai functionals of (M1, M2) are then
-mapped to F statistics with (possibly fractional) degrees of freedom.
+degrees of freedom yields two approximately Wishart matrices M1 and M2.
+The Wilks, Lawley-Hotelling, and Pillai functionals of (M1, M2) are
+functions of the eigenvalues of M2^{-1} M1, taken from one generalized
+symmetric eigenproblem. Each is then mapped to an F statistic with
+(possibly fractional) degrees of freedom.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,51 +124,61 @@ class TestReport:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-def _chol(matrix: np.ndarray, what: str):
-    try:
-        return scipy.linalg.cholesky(matrix, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularErrorMatrixError(f"{what} is not positive definite") from exc
-
-
 def statistics(m1: np.ndarray, m2: np.ndarray) -> TestStatistics:
     """Wilks, Lawley-Hotelling, and Pillai functionals of (M1, M2).
 
-    Determinants go through Cholesky log-determinants and inverses through
-    Cholesky solves, so an indefinite error matrix fails fast.
+    All three are functions of the eigenvalues theta of M2^{-1} M1, taken
+    from one generalized symmetric eigenproblem: Wilks is prod 1/(1 + theta),
+    Lawley-Hotelling sum theta, Pillai sum theta/(1 + theta). The solver
+    factors M2 first, so an error matrix that is not positive definite fails
+    fast; by Sylvester's law of inertia theta has the signs of M1's
+    eigenvalues, so a negative theta means M1 is not positive semidefinite.
     """
     m1 = np.asarray(m1, dtype=np.float64)
     m2 = np.asarray(m2, dtype=np.float64)
     if m1.shape != m2.shape or m1.ndim != 2 or m1.shape[0] != m1.shape[1]:
         raise ValidationError("M1 and M2 must be square matrices of equal size")
+    if not (np.all(np.isfinite(m1)) and np.all(np.isfinite(m2))):
+        raise ValidationError("M1 and M2 must be finite")
     m1 = (m1 + m1.T) / 2.0
     m2 = (m2 + m2.T) / 2.0
-    scale = max(np.abs(m1).max(), 1.0)
-    if np.linalg.eigvalsh(m1)[0] < -1e-8 * scale:
+    try:
+        theta = scipy.linalg.eigh(m1, m2, eigvals_only=True, check_finite=False)
+    except scipy.linalg.LinAlgError as exc:
+        raise SingularErrorMatrixError("error matrix M2 is not positive definite") from exc
+    if theta[0] < -1e-8 * max(1.0, np.abs(theta).max()):
         raise ValidationError("M1 must be positive semidefinite")
-    chol2 = _chol(m2, "error matrix M2")
-    chol12 = _chol(m1 + m2, "M1 + M2")
-    logdet2 = 2.0 * np.sum(np.log(np.diag(chol2)))
-    logdet12 = 2.0 * np.sum(np.log(np.diag(chol12)))
-    mfw = float(np.exp(logdet2 - logdet12))
-    mflh = float(np.trace(scipy.linalg.cho_solve((chol2, True), m1)))
-    mfp = float(np.trace(scipy.linalg.cho_solve((chol12, True), m1)))
-    return TestStatistics(mfw=mfw, mflh=mflh, mfp=mfp, m1=m1, m2=m2)
+    return TestStatistics(
+        mfw=float(np.prod(1.0 / (1.0 + theta))),
+        mflh=float(theta.sum()),
+        mfp=float(np.sum(theta / (1.0 + theta))),
+        m1=m1,
+        m2=m2,
+    )
+
+
+def _check_args(stat: float, df1: float, df2: float, error: type) -> None:
+    """Reject a NaN statistic and degrees of freedom that are not finite and positive."""
+    if math.isnan(stat):
+        raise error("the statistic must not be NaN")
+    if not (math.isfinite(df1) and math.isfinite(df2)):
+        raise error("degrees of freedom must be finite")
+    if df1 <= 0 or df2 <= 0:
+        raise error("degrees of freedom must be positive")
 
 
 def f_cdf(x: float, df1: float, df2: float) -> float:
     """CDF of the F distribution, fractional degrees of freedom included."""
-    if df1 <= 0 or df2 <= 0:
-        raise InputError("degrees of freedom must be positive")
+    _check_args(x, df1, df2, InputError)
     if x < 0:
         raise InputError("the F distribution is supported on x >= 0")
-    return float(betainc(df1 / 2.0, df2 / 2.0, df1 * x / (df1 * x + df2)))
+    z = df1 * x / (df1 * x + df2) if x < math.inf else 1.0
+    return float(betainc(df1 / 2.0, df2 / 2.0, z))
 
 
 def f_sf(x: float, df1: float, df2: float) -> float:
     """Survival function 1 - f_cdf, computed without cancellation."""
-    if df1 <= 0 or df2 <= 0:
-        raise InputError("degrees of freedom must be positive")
+    _check_args(x, df1, df2, InputError)
     if x < 0:
         raise InputError("the F distribution is supported on x >= 0")
     return float(betainc(df2 / 2.0, df1 / 2.0, df2 / (df1 * x + df2)))
@@ -182,18 +195,13 @@ def f_approx_mfw(t: float, p: int, d_b: float, d_e: float) -> FApprox:
     """F-approximation of the Wilks statistic."""
     if not (0.0 < t <= 1.0):
         raise ValidationError(f"Wilks statistic must lie in (0, 1], got {t}")
-    if d_b <= 0 or d_e <= 0:
-        raise ValidationError("degrees of freedom must be positive")
+    _check_args(t, d_b, d_e, ValidationError)
     den = p * p + d_b * d_b - 5.0
     num = p * p * d_b * d_b - 4.0
-    pole_fallback = False
-    if den > 0 and num > 0:
-        theta1 = float(np.sqrt(num / den))
-    else:
-        # num <= 0 < den is outside the formula's intended range; use the
-        # same fallback as the den <= 0 branch and flag it.
-        theta1 = 1.0
-        pole_fallback = den > 0
+    # Outside den > 0 < num, theta1 falls back to 1; num <= 0 < den is outside
+    # the formula's intended range, so that case is flagged.
+    theta1 = float(np.sqrt(num / den)) if den > 0 and num > 0 else 1.0
+    pole_fallback = den > 0 and num <= 0
     theta2 = d_e - (p - d_b + 1.0) / 2.0
     theta3 = p * d_b / 2.0 - 1.0
     df1 = p * d_b
@@ -218,63 +226,52 @@ def f_approx_mfw(t: float, p: int, d_b: float, d_e: float) -> FApprox:
 def f_approx_mflh(t: float, p: int, d_b: float, d_e: float) -> FApprox:
     """F-approximation of the Lawley-Hotelling statistic.
 
-    Branches on the sign of nu2; near the pole of phi2 at nu2 = 1 (and
-    whenever phi2 fails to exceed 1) the nonpositive-nu2 formula is used
-    instead, with a diagnostic flag.
+    The positive-nu2 formula needs phi2 > 1, and phi2 has a pole at nu2 = 1.
+    Everywhere else the nonpositive-nu2 formula is used; for a positive nu2
+    that is a fallback, and it is flagged.
     """
     if t < 0:
         raise ValidationError(f"Lawley-Hotelling statistic must be >= 0, got {t}")
-    if d_b <= 0 or d_e <= 0:
-        raise ValidationError("degrees of freedom must be positive")
+    _check_args(t, d_b, d_e, ValidationError)
     nu1, nu2, s = _nu_s(p, d_b, d_e)
     aux = {"nu1": nu1, "nu2": nu2, "s": s}
-    use_neg = nu2 <= 0
-    pole_fallback = False
-    phi2 = None
-    if not use_neg:
-        if abs(nu2 - 1.0) <= 1e-9:
-            use_neg = pole_fallback = True
-        else:
-            phi2 = (p + 2 * nu2) * (d_b + 2 * nu2) / (2 * (2 * nu2 + 1) * (nu2 - 1))
-            aux["phi2"] = phi2
-            if phi2 <= 1.0 + 1e-9:
-                use_neg = pole_fallback = True
-    if use_neg:
-        df1 = s * (2 * nu1 + s + 1)
-        df2 = 2 * (s * nu2 + 1)
-        if df2 <= 0:
-            raise ApproximationUndefinedError(
-                f"Lawley-Hotelling F-approximation undefined: 2(s*nu2 + 1) = "
-                f"{df2:.6g} <= 0 (p={p}, d_b={d_b:.6g}, d_e={d_e:.6g})"
-            )
-        f_stat = df2 * t / (s * s * (2 * nu1 + s + 1))
+    if nu2 > 0 and abs(nu2 - 1.0) > 1e-9:
+        aux["phi2"] = (p + 2 * nu2) * (d_b + 2 * nu2) / (2 * (2 * nu2 + 1) * (nu2 - 1))
+    if aux.get("phi2", 1.0) > 1.0 + 1e-9:
+        ratio = (p * d_b + 2.0) / (aux["phi2"] - 1.0)
+        phi1 = (2.0 + ratio) / (2.0 * nu2)
+        aux["phi1"] = phi1
+        df1 = p * d_b
+        df2 = 4.0 + ratio
+        f_stat = df2 * t / (df1 * phi1)
         return FApprox(
             f_stat=float(f_stat),
             df1=float(df1),
             df2=float(df2),
-            branch="MFLH-neg-nu2",
+            branch="MFLH-pos-nu2",
             aux=aux,
-            pole_fallback=pole_fallback,
         )
-    ratio = (p * d_b + 2.0) / (phi2 - 1.0)
-    phi1 = (2.0 + ratio) / (2.0 * nu2)
-    aux["phi1"] = phi1
-    df1 = p * d_b
-    df2 = 4.0 + ratio
-    f_stat = df2 * t / (df1 * phi1)
+    df1 = s * (2 * nu1 + s + 1)
+    df2 = 2 * (s * nu2 + 1)
+    if df2 <= 0:
+        raise ApproximationUndefinedError(
+            f"Lawley-Hotelling F-approximation undefined: 2(s*nu2 + 1) = "
+            f"{df2:.6g} <= 0 (p={p}, d_b={d_b:.6g}, d_e={d_e:.6g})"
+        )
+    f_stat = df2 * t / (s * s * (2 * nu1 + s + 1))
     return FApprox(
         f_stat=float(f_stat),
         df1=float(df1),
         df2=float(df2),
-        branch="MFLH-pos-nu2",
+        branch="MFLH-neg-nu2",
         aux=aux,
+        pole_fallback=nu2 > 0,
     )
 
 
 def f_approx_mfp(t: float, p: int, d_b: float, d_e: float) -> FApprox:
     """F-approximation of the Pillai statistic."""
-    if d_b <= 0 or d_e <= 0:
-        raise ValidationError("degrees of freedom must be positive")
+    _check_args(t, d_b, d_e, ValidationError)
     nu1, nu2, s = _nu_s(p, d_b, d_e)
     if not (0.0 <= t < s):
         raise ApproximationUndefinedError(

@@ -18,7 +18,9 @@ import scipy.linalg
 from .dataset import FunctionalDataset, _cell_label, _read_rows
 from .errors import ContrastRankError, IngestionError, ValidationError
 from .grid import QuadWeights
-from .moments import MeanFunctions, OmegaHat, _centered_weighted, _integrated_cov, omega_hat
+from .moments import (
+    MeanFunctions, OmegaHat, _centered_weighted, _integrated_cov, _pooled, omega_hat
+)
 
 __all__ = [
     "ContrastSpec",
@@ -146,9 +148,7 @@ def b_matrix(
 def e_matrix(sigmas, hn: np.ndarray, n) -> np.ndarray:
     """Error variation matrix: sum_i h_ii sigma_i / n_i (equals the pooled matrix)."""
     h_diag = np.diag(np.asarray(hn, dtype=np.float64))
-    n = np.asarray(n, dtype=np.float64)
-    en = sum(h * np.asarray(s) / ni for h, s, ni in zip(h_diag, sigmas, n))
-    return (en + en.T) / 2.0
+    return _pooled(sigmas, h_diag, np.asarray(n, dtype=np.float64))
 
 
 def build_glht(ds: FunctionalDataset, spec: ContrastSpec, w: QuadWeights) -> GlhtMatrices:

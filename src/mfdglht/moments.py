@@ -120,6 +120,12 @@ def inv_sqrt_spd(a: np.ndarray, rel_tol: float = PD_REL_TOL) -> np.ndarray:
     return (eigvecs / np.sqrt(eigvals)) @ eigvecs.T
 
 
+def _pooled(sigmas, h_diag, n) -> np.ndarray:
+    """The symmetrized sum_i h_ii sigma_i / n_i."""
+    pooled = sum(h * np.asarray(s, dtype=np.float64) / ni for h, s, ni in zip(h_diag, sigmas, n))
+    return (pooled + pooled.T) / 2.0
+
+
 def omega_hat(sigmas, h_diag, n) -> OmegaHat:
     """Pooled matrix ``sum_i h_ii sigma_i / n_i`` with inverse and inverse root.
 
@@ -133,8 +139,7 @@ def omega_hat(sigmas, h_diag, n) -> OmegaHat:
         raise ValidationError("sigmas, h_diag, and n must have the same length")
     if np.any(h_diag < 0) or not np.any(h_diag > 0):
         raise ValidationError("diagonal hypothesis weights must be nonnegative, some positive")
-    omega = sum(h * s / ni for h, s, ni in zip(h_diag, sigmas, n))
-    omega = (omega + omega.T) / 2.0
+    omega = _pooled(sigmas, h_diag, n)
     try:
         inv_sqrt = inv_sqrt_spd(omega)
     except NotPositiveDefiniteError as exc:

@@ -478,7 +478,7 @@ def load_config_file(path) -> list[SimConfig]:
 
     The file holds either a single setting object or ``{"settings":
     [...]}`` where top-level keys act as defaults merged into every
-    setting.
+    setting. A single setting is read as a one-entry list without defaults.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -487,29 +487,25 @@ def load_config_file(path) -> list[SimConfig]:
             raise InputError(f"malformed config JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise InputError("config must be a JSON object")
-    known = set(SimConfig.__dataclass_fields__)
     if "settings" in raw:
         defaults = {key: value for key, value in raw.items() if key != "settings"}
-        configs = []
-        for idx, entry in enumerate(raw["settings"]):
-            merged = {**defaults, **entry}
-            unknown = set(merged) - known
-            if unknown:
-                raise InputError(f"setting {idx + 1}: unknown config keys {sorted(unknown)}")
-            try:
-                configs.append(SimConfig(**_coerce(merged)))
-            except (TypeError, ValidationError) as exc:
-                raise InputError(f"setting {idx + 1}: {exc}") from None
-        if not configs:
-            raise InputError("config lists no settings")
-        return configs
-    unknown = set(raw) - known
-    if unknown:
-        raise InputError(f"unknown config keys {sorted(unknown)}")
-    try:
-        return [SimConfig(**_coerce(raw))]
-    except (TypeError, ValidationError) as exc:
-        raise InputError(str(exc)) from None
+        entries = raw["settings"]
+    else:
+        defaults, entries = {}, [raw]
+    if not (isinstance(entries, list) and entries and all(isinstance(e, dict) for e in entries)):
+        raise InputError("config settings must be a nonempty list of JSON objects")
+    known = set(SimConfig.__dataclass_fields__)
+    configs = []
+    for idx, entry in enumerate(entries):
+        merged = {**defaults, **entry}
+        unknown = set(merged) - known
+        if unknown:
+            raise InputError(f"setting {idx + 1}: unknown config keys {sorted(unknown)}")
+        try:
+            configs.append(SimConfig(**_coerce(merged)))
+        except (TypeError, ValidationError) as exc:
+            raise InputError(f"setting {idx + 1}: {exc}") from None
+    return configs
 
 
 def _coerce(entry: dict) -> dict:

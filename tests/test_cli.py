@@ -246,6 +246,21 @@ def test_cmd_simulate_bad_config_exit_2(tmp_path, capsys):
     json.loads(capsys.readouterr().err.strip())
 
 
+@pytest.mark.parametrize(
+    "body",
+    [{"settings": {"model": 1}}, {"settings": [1]}, {"settings": 5}],
+    ids=["settings-object", "settings-of-numbers", "settings-number"],
+)
+def test_cmd_simulate_malformed_settings_exit_2(tmp_path, capsys, body):
+    config = tmp_path / "sim.json"
+    config.write_text(json.dumps(body))
+    out = tmp_path / "a.csv"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+    err_lines = capsys.readouterr().err.strip().splitlines()
+    assert len(err_lines) == 1
+    json.loads(err_lines[0])
+
+
 def test_cmd_report_empty_csv_exit_2(tmp_path, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("")

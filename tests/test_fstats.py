@@ -7,6 +7,7 @@ from mfdglht import (
     ApproximationUndefinedError,
     InputError,
     SingularErrorMatrixError,
+    ValidationError,
     f_approx_mflh,
     f_approx_mfp,
     f_approx_mfw,
@@ -263,3 +264,101 @@ def test_f_approx_matches_scipy_reference():
     assert f_sf(fa.f_stat, fa.df1, fa.df2) == pytest.approx(
         scipy.stats.f.sf(fa.f_stat, fa.df1, fa.df2), rel=1e-10
     )
+
+
+def test_mflh_phi2_below_one_falls_back_with_phi2_in_aux():
+    # nu2 = 0.5 > 0 but phi2 = (2 + 1)(3 + 1) / (2 * 2 * -0.5) = -6 <= 1.
+    fa = f_approx_mflh(0.5, 2, 3.0, 4.0)
+    assert fa.branch == "MFLH-neg-nu2"
+    assert fa.pole_fallback
+    assert fa.aux["phi2"] == -6.0
+    assert "phi1" not in fa.aux
+    assert (fa.df1, fa.df2) == (6.0, 4.0)
+
+
+def test_mfw_zero_denominator_uses_theta1_one_unflagged():
+    # p^2 + d_B^2 - 5 = 0: theta1 = 1 without a fallback flag.
+    fa = f_approx_mfw(0.5, 1, 2.0, 20.0)
+    assert fa.aux["theta1"] == 1.0
+    assert not fa.pole_fallback
+    assert fa.f_stat == pytest.approx(10.0, rel=1e-12)
+
+
+def _random_pair(rng, p, decades):
+    # The error matrix inherits its conditioning from the components' scales,
+    # as M2 = d_E * Omega does from the curves: M = D A D with D spanning
+    # ``decades`` and A a well-conditioned Wishart draw. (Under a rotated
+    # ill-conditioning any two stable algorithms agree only to cond * eps.)
+    scale = np.logspace(0.0, -decades, p)
+    y = rng.standard_normal((p, p + 6))
+    x = rng.standard_normal((p, int(rng.integers(1, p + 3))))
+    m1 = (x @ x.T) * np.outer(scale, scale) * rng.uniform(0.01, 10.0)
+    return m1, (y @ y.T) * np.outer(scale, scale)
+
+
+def test_statistics_match_definitions_over_random_pairs():
+    rng = np.random.default_rng(11)
+    conds = []
+    for p in range(1, 9):
+        for decades in (0.0, 1.0, 2.5, 4.0):
+            m1, m2 = _random_pair(rng, p, decades)
+            conds.append(np.linalg.cond(m2))
+            st = statistics(m1, m2)
+            m1, m2 = st.m1, st.m2
+            _, logdet2 = np.linalg.slogdet(m2)
+            _, logdet12 = np.linalg.slogdet(m1 + m2)
+            assert st.mfw == pytest.approx(np.exp(logdet2 - logdet12), rel=1e-10)
+            assert st.mflh == pytest.approx(np.trace(np.linalg.solve(m2, m1)), rel=1e-10)
+            assert st.mfp == pytest.approx(np.trace(np.linalg.solve(m1 + m2, m1)), rel=1e-10)
+    assert max(conds) > 1e8
+
+
+def test_statistics_rejects_indefinite_m1():
+    with pytest.raises(ValidationError, match="positive semidefinite"):
+        statistics(np.diag([1.0, -0.5]), np.eye(2))
+
+
+APPROXIMATIONS = {"mfw": f_approx_mfw, "mflh": f_approx_mflh, "mfp": f_approx_mfp}
+
+
+@pytest.mark.parametrize("name", sorted(APPROXIMATIONS))
+@pytest.mark.parametrize(
+    "d_b, d_e",
+    [(np.nan, 20.0), (3.0, np.nan), (np.inf, 20.0), (3.0, np.inf), (-np.inf, 20.0)],
+    ids=["nan-db", "nan-de", "inf-db", "inf-de", "neginf-db"],
+)
+def test_f_approx_rejects_nonfinite_dof(name, d_b, d_e):
+    with pytest.raises(ValidationError, match="finite"):
+        APPROXIMATIONS[name](0.5, 2, d_b, d_e)
+
+
+@pytest.mark.parametrize("name", sorted(APPROXIMATIONS))
+def test_f_approx_rejects_nan_statistic(name):
+    with pytest.raises(ValidationError):
+        APPROXIMATIONS[name](np.nan, 2, 3.0, 20.0)
+
+
+@pytest.mark.parametrize("fn", [f_cdf, f_sf], ids=["cdf", "sf"])
+@pytest.mark.parametrize(
+    "x, df1, df2",
+    [(np.nan, 2.0, 3.0), (1.0, np.nan, 3.0), (1.0, 2.0, np.nan), (1.0, np.inf, 3.0),
+     (1.0, 2.0, np.inf)],
+    ids=["nan-x", "nan-df1", "nan-df2", "inf-df1", "inf-df2"],
+)
+def test_f_distribution_rejects_nonfinite_args(fn, x, df1, df2):
+    with pytest.raises(InputError):
+        fn(x, df1, df2)
+
+
+def test_f_distribution_at_infinite_x():
+    assert f_sf(np.inf, 2.0, 3.0) == 0.0
+    assert f_cdf(np.inf, 2.0, 3.0) == 1.0
+
+
+@pytest.mark.parametrize("which", ["m1", "m2"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_statistics_rejects_nonfinite_entries(which, bad):
+    pair = {"m1": np.eye(2), "m2": np.eye(2)}
+    pair[which][0, 1] = pair[which][1, 0] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        statistics(pair["m1"], pair["m2"])
