@@ -20,12 +20,18 @@ environment block perfbench printed for the first run.
 Each side also makes one ``--trace 1`` run, at seed 2 and the benchmark's
 ``run_seconds``; the file keeps its per-layer metrics and failed-op count
 under ``traced``.
+
+Last, each side runs the Tier-1 test suite once (``TIER1`` below, with the
+side's ``src`` first on ``PYTHONPATH``); the file keeps its wall time, its
+exit code and its passed/skipped/failed counts under ``tier1``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import subprocess
 import sys
 import tarfile
@@ -39,6 +45,7 @@ ROOT = Path(__file__).resolve().parent.parent
 ENV_PREFIX = "environment: "
 RUN_TIMEOUT_S = 900
 TRACE_SEED = 2
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
 def git(*args: str) -> str:
@@ -69,6 +76,22 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: in
     env = next(json.loads(line[len(ENV_PREFIX):]) for line in lines
                if line.startswith(ENV_PREFIX))
     return {**json.loads(lines[-1]), "environment": env}
+
+
+def run_tier1(checkout: Path) -> dict:
+    """One Tier-1 run of ``checkout``'s tests: wall time, exit code and counts."""
+    pythonpath = os.pathsep.join(filter(None, [str(checkout / "src"),
+                                               os.environ.get("PYTHONPATH")]))
+    started = time.perf_counter()
+    done = subprocess.run([sys.executable, *TIER1], cwd=checkout, capture_output=True,
+                          text=True, timeout=RUN_TIMEOUT_S,
+                          env={**os.environ, "PYTHONPATH": pythonpath})
+    wall_s = time.perf_counter() - started
+    summary = (done.stdout.strip().splitlines() or [""])[-1]
+    counts = {word: int(count) for count, word in
+              re.findall(r"(\d+) (passed|skipped|failed)", summary)}
+    return {"wall_s": round(wall_s, 1), "returncode": done.returncode, "summary": summary,
+            **{word: counts.get(word, 0) for word in ("passed", "skipped", "failed")}}
 
 
 def spread(values: list[float]) -> dict:
@@ -144,6 +167,11 @@ def main(argv=None) -> int:
             print(f"traced {side} done", file=sys.stderr, flush=True)
             result["traced"][side] = {key: traced[key]
                                       for key in ("attempted", "failed", "metrics")}
+        result["tier1"] = {"command": "PYTHONPATH=src python " + " ".join(TIER1)}
+        for side, checkout in sides.items():
+            result["tier1"][side] = run_tier1(checkout)
+            print(f"tier1 {side}: {result['tier1'][side]['summary']}", file=sys.stderr,
+                  flush=True)
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     return 0
 

@@ -9,6 +9,7 @@ single-line JSON object to standard error.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import os
@@ -44,87 +45,63 @@ RATE_COLUMNS = (
 )
 
 
-def _fail(code: int, kind: str, message: str) -> int:
-    sys.stderr.write(json.dumps({"error": kind, "message": message}) + "\n")
-    return code
+# The numeric columns ``report`` reads, with their parsers.
+REPORT_NUMBERS = {"delta": float, "rate_pct": float, "completed": int}
 
 
 def cmd_test(args) -> int:
-    try:
-        ds = load_csv(args.data, a=args.domain[0], b=args.domain[1])
-        c = load_contrast_csv(args.contrast, k=ds.k)
-        c0 = load_c0_csv(args.c0, p=ds.p, m=ds.m, q=c.shape[0]) if args.c0 else None
-        spec = ContrastSpec(c, c0)
-        if not (0.0 < args.alpha < 1.0):
-            raise InputError(f"alpha must lie in (0, 1), got {args.alpha}")
-    except (InputError, OSError) as exc:
-        return _fail(EXIT_INPUT, type(exc).__name__, str(exc))
+    ds = load_csv(args.data, a=args.domain[0], b=args.domain[1])
+    c = load_contrast_csv(args.contrast, k=ds.k)
+    c0 = load_c0_csv(args.c0, p=ds.p, m=ds.m, q=c.shape[0]) if args.c0 else None
+    spec = ContrastSpec(c, c0)
+    if not (0.0 < args.alpha < 1.0):
+        raise InputError(f"alpha must lie in (0, 1), got {args.alpha}")
     try:
         report = run_glht(ds, spec, alpha=args.alpha)
-    except InputError as exc:
-        return _fail(EXIT_INPUT, type(exc).__name__, str(exc))
     except DegeneracyError as exc:
         payload = {"error": {"kind": type(exc).__name__, "message": str(exc)}}
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
-        return _fail(EXIT_DEGENERATE, type(exc).__name__, str(exc))
+        raise
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(report.to_json())
         fh.write("\n")
     return EXIT_OK
 
 
-def _format_value(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _study_rows(result) -> list[dict]:
     cfg = result.config
     contrast = cfg.contrast if isinstance(cfg.contrast, str) else "custom"
-    rows = []
-    for name in STATISTIC_NAMES:
-        rows.append(
-            {
-                "kind": "rate",
-                "label": cfg.label or "",
-                "contrast": contrast,
-                "scenario": cfg.scenario,
-                "model": cfg.model,
-                "rho": cfg.rho,
-                "delta": cfg.delta,
-                "n": "/".join(str(v) for v in cfg.n),
-                "reps": cfg.reps,
-                "completed": result.completed,
-                "errored": result.errored,
-                "statistic": name,
-                "rejections": result.rejections[name],
-                "rate_pct": result.rate_percent(name),
-            }
-        )
-    return rows
+    return [
+        {
+            "kind": "rate",
+            "label": cfg.label or "",
+            "contrast": contrast,
+            "scenario": cfg.scenario,
+            "model": cfg.model,
+            "rho": cfg.rho,
+            "delta": cfg.delta,
+            "n": "/".join(str(v) for v in cfg.n),
+            "reps": cfg.reps,
+            "completed": result.completed,
+            "errored": result.errored,
+            "statistic": name,
+            "rejections": result.rejections[name],
+            "rate_pct": result.rate_percent(name),
+        }
+        for name in STATISTIC_NAMES
+    ]
 
 
 def cmd_simulate(args) -> int:
-    try:
-        configs = load_config_file(args.config)
-        if args.reps is not None:
-            if args.reps < 1:
-                raise InputError("--reps must be >= 1")
-            configs = [dataclasses.replace(cfg, reps=args.reps) for cfg in configs]
-        if args.seed is not None:
-            configs = [dataclasses.replace(cfg, seed=args.seed) for cfg in configs]
-    except (InputError, OSError) as exc:
-        return _fail(EXIT_INPUT, type(exc).__name__, str(exc))
-
-    results = []
-    try:
-        for cfg in configs:
-            results.append(size_power_study(cfg))
-    except MfdGlhtError as exc:
-        code = EXIT_DEGENERATE if isinstance(exc, DegeneracyError) else EXIT_INPUT
-        return _fail(code, type(exc).__name__, str(exc))
+    configs = load_config_file(args.config)
+    if args.reps is not None:
+        if args.reps < 1:
+            raise InputError("--reps must be >= 1")
+        configs = [dataclasses.replace(cfg, reps=args.reps) for cfg in configs]
+    if args.seed is not None:
+        configs = [dataclasses.replace(cfg, seed=args.seed) for cfg in configs]
+    results = [size_power_study(cfg) for cfg in configs]
 
     are = {}
     if len(results) > 1:
@@ -133,18 +110,13 @@ def cmd_simulate(args) -> int:
             name: are_metric([r.rate_percent(name) for r in results], alpha_pct)
             for name in STATISTIC_NAMES
         }
-    rows = []
-    for result in results:
-        rows.extend(_study_rows(result))
-    for name, value in are.items():
-        row = dict.fromkeys(RATE_COLUMNS, "")
-        row.update(kind="are", reps=len(results), statistic=name, rate_pct=value)
-        rows.append(row)
-    lines = [",".join(RATE_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(_format_value(row[col]) for col in RATE_COLUMNS))
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = [row for result in results for row in _study_rows(result)]
+    rows += [{"kind": "are", "reps": len(results), "statistic": name, "rate_pct": value}
+             for name, value in are.items()]
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.DictWriter(fh, RATE_COLUMNS, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
 
     summary = {
         "settings": [
@@ -179,23 +151,28 @@ def _summary_path(out_path: str) -> str:
 
 
 def _read_rate_rows(path) -> list[dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    if not lines:
+    """The rate rows of a ``simulate`` table, as strings whose numbers parse."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            reader = csv.DictReader(line.strip() for line in fh if line.strip())
+            header, rows = reader.fieldnames, list(reader)
+    except UnicodeDecodeError as exc:
+        raise InputError(f"results file is not valid UTF-8: {exc.reason}") from None
+    if header is None:
         raise InputError("results file is empty")
-    header = lines[0].split(",")
-    if "statistic" not in header or "rate_pct" not in header:
+    if not {"kind", "statistic", *REPORT_NUMBERS} <= set(header):
         raise InputError("results file lacks the expected rate columns")
-    rows = []
-    for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != len(header):
-            raise InputError("malformed results row")
-        row = dict(zip(header, parts))
-        if row.get("kind") == "rate":
-            rows.append(row)
+    if any(None in row or None in row.values() for row in rows):
+        raise InputError("malformed results row")
+    rows = [row for row in rows if row["kind"] == "rate"]
     if not rows:
         raise InputError("results file has no rate rows")
+    for row in rows:
+        for name, parse in REPORT_NUMBERS.items():
+            try:
+                parse(row[name])
+            except ValueError:
+                raise InputError(f"malformed results row: {name} {row[name]!r}") from None
     return rows
 
 
@@ -203,7 +180,7 @@ def _svg_chart(rows: list[dict]) -> str:
     deltas = sorted({float(r["delta"]) for r in rows})
     x_is_delta = len(deltas) > 1
     series: dict[str, list[tuple[float, float]]] = {name: [] for name in STATISTIC_NAMES}
-    for idx, row in enumerate(rows):
+    for row in rows:
         name = row["statistic"]
         if name not in series:
             continue
@@ -212,6 +189,8 @@ def _svg_chart(rows: list[dict]) -> str:
     width, height, margin = 640, 420, 56
     xs = [x for pts in series.values() for x, _ in pts]
     ys = [y for pts in series.values() for _, y in pts]
+    if not xs:
+        raise InputError(f"results file has no rate rows for {', '.join(STATISTIC_NAMES)}")
     x_min, x_max = min(xs), max(xs)
     x_span = (x_max - x_min) or 1.0
     y_max = max(10.0, 1.1 * max(ys))
@@ -263,23 +242,20 @@ def _svg_chart(rows: list[dict]) -> str:
 
 
 def cmd_report(args) -> int:
-    try:
-        rows = _read_rate_rows(args.infile)
-    except (InputError, OSError) as exc:
-        return _fail(EXIT_INPUT, type(exc).__name__, str(exc))
+    rows = _read_rate_rows(args.infile)
     if args.format == "svg":
-        payload = _svg_chart(rows)
-    else:
-        header = list(rows[0].keys()) + ["mc_se"]
-        lines = [",".join(header)]
+        svg = _svg_chart(rows)
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(svg)
+        return EXIT_OK
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.DictWriter(fh, [*rows[0], "mc_se"], lineterminator="\n")
+        writer.writeheader()
         for row in rows:
             rate = float(row["rate_pct"])
             completed = int(row["completed"])
             se = float(np.sqrt(rate * (100.0 - rate) / completed)) if completed else float("nan")
-            lines.append(",".join(list(row.values()) + [repr(se)]))
-        payload = "\n".join(lines) + "\n"
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(payload)
+            writer.writerow({**row, "mc_se": se})
     return EXIT_OK
 
 
@@ -318,8 +294,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; the only place an error becomes an exit code."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (MfdGlhtError, OSError) as exc:
+        sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
+        return EXIT_DEGENERATE if isinstance(exc, DegeneracyError) else EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -44,6 +44,11 @@ __all__ = [
 
 STATISTIC_NAMES = ("mfw", "mflh", "mfp")
 
+# Eigenvalue ratio at which M2 scaled to unit diagonal counts as singular. The
+# scaling leaves any Omega-hat that passed inv_sqrt_spd's 1e-10 above 1e-10 / p
+# (van der Sluis), so no such M2 is rejected while p < 1000.
+M2_REL_TOL = 1e-13
+
 
 @dataclass(frozen=True)
 class TestStatistics:
@@ -131,7 +136,8 @@ def statistics(m1: np.ndarray, m2: np.ndarray) -> TestStatistics:
     from one generalized symmetric eigenproblem: Wilks is prod 1/(1 + theta),
     Lawley-Hotelling sum theta, Pillai sum theta/(1 + theta). The solver
     factors M2 first, so an error matrix that is not positive definite fails
-    fast; by Sylvester's law of inertia theta has the signs of M1's
+    fast, as does one singular to working precision once scaled to unit
+    diagonal; by Sylvester's law of inertia theta has the signs of M1's
     eigenvalues, so a negative theta means M1 is not positive semidefinite.
     """
     m1 = np.asarray(m1, dtype=np.float64)
@@ -142,6 +148,13 @@ def statistics(m1: np.ndarray, m2: np.ndarray) -> TestStatistics:
         raise ValidationError("M1 and M2 must be finite")
     m1 = (m1 + m1.T) / 2.0
     m2 = (m2 + m2.T) / 2.0
+    diag = np.diag(m2)
+    if np.any(diag <= 0):
+        raise SingularErrorMatrixError("error matrix M2 is not positive definite")
+    scale = 1.0 / np.sqrt(diag)
+    eig = np.linalg.eigvalsh(m2 * scale[:, None] * scale)
+    if eig[0] <= M2_REL_TOL * eig[-1]:
+        raise SingularErrorMatrixError("error matrix M2 is numerically singular")
     try:
         theta = scipy.linalg.eigh(m1, m2, eigvals_only=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:

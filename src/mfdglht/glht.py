@@ -207,8 +207,8 @@ def load_contrast_csv(source, k: int | None = None) -> np.ndarray:
     """Read a contrast matrix from CSV with header ``row,col,value`` (1-based).
 
     With ``k``, the dataset's group count, every row and column index must be
-    at most k; pass it for files from outside the program, whose indices
-    would otherwise size the matrix unchecked.
+    at most k and the matrix has k columns; pass it for files from outside the
+    program, whose indices would otherwise size the matrix unchecked.
     """
     cells, values = _read_rows(source, CONTRAST_HEADER, _field_count_fault)
     if not len(values):
@@ -217,7 +217,7 @@ def load_contrast_csv(source, k: int | None = None) -> np.ndarray:
     if k is not None:
         _reject_outside(cells, CONTRAST_HEADER, {"row": k, "col": k}, "contrast",
                         f"a contrast of k={k} groups (row and col at most k)")
-    c = np.zeros(cells.max(axis=0))
+    c = np.zeros((cells[:, 0].max(), k or cells[:, 1].max()))
     c[tuple((cells - 1).T)] = values
     return c
 
@@ -226,7 +226,7 @@ def load_c0_csv(source, p: int, m: int, q: int | None = None) -> np.ndarray:
     """Read C0 curves from CSV with header ``row,component,time_index,value``.
 
     Components are bounded by ``p`` and time indices by ``m``; with ``q``,
-    the contrast's row count, the rows are bounded too.
+    the contrast's row count, the rows are bounded too and C0 has q rows.
     """
     cells, values = _read_rows(source, C0_HEADER, _field_count_fault)
     if not len(values):
@@ -238,6 +238,6 @@ def load_c0_csv(source, p: int, m: int, q: int | None = None) -> np.ndarray:
         limits["row"] = q
         shape = f"q={q}, {shape}"
     _reject_outside(cells, C0_HEADER, limits, "C0", f"dataset shape ({shape})")
-    c0 = np.zeros((cells[:, 0].max(), p, m))
+    c0 = np.zeros((q or cells[:, 0].max(), p, m))
     c0[tuple((cells - 1).T)] = values
     return c0

@@ -53,10 +53,9 @@ class MeanFunctions:
 
 @dataclass(frozen=True)
 class OmegaHat:
-    """Pooled SPD matrix with its inverse and symmetric inverse square root."""
+    """Pooled SPD matrix with its symmetric inverse square root."""
 
     omega: np.ndarray
-    inv: np.ndarray
     inv_sqrt: np.ndarray
 
 
@@ -127,7 +126,7 @@ def _pooled(sigmas, h_diag, n) -> np.ndarray:
 
 
 def omega_hat(sigmas, h_diag, n) -> OmegaHat:
-    """Pooled matrix ``sum_i h_ii sigma_i / n_i`` with inverse and inverse root.
+    """Pooled matrix ``sum_i h_ii sigma_i / n_i`` and its inverse square root.
 
     Groups the contrast does not touch have a zero diagonal weight and
     simply contribute nothing.
@@ -147,4 +146,4 @@ def omega_hat(sigmas, h_diag, n) -> OmegaHat:
             "pooled covariance matrix is numerically singular; collect more "
             "observations or reduce the number of components"
         ) from exc
-    return OmegaHat(omega=omega, inv=inv_sqrt @ inv_sqrt, inv_sqrt=inv_sqrt)
+    return OmegaHat(omega=omega, inv_sqrt=inv_sqrt)

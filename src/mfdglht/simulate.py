@@ -112,6 +112,8 @@ class SimConfig:
                 raise ValidationError(f"unknown sample-size preset {self.n!r}") from None
         else:
             object.__setattr__(self, "n", tuple(int(v) for v in self.n))
+        if not isinstance(self.contrast, str):
+            object.__setattr__(self, "contrast", np.asarray(self.contrast, dtype=np.float64))
         if any(v < 1 for v in self.n):
             raise ValidationError("group sizes must be positive")
         if self.scenario not in SCENARIO_NUS:
@@ -136,14 +138,12 @@ class SimConfig:
         return len(self.n)
 
     def contrast_spec(self) -> ContrastSpec:
-        if isinstance(self.contrast, str):
-            try:
-                c = CONTRAST_PRESETS[self.contrast](self.k)
-            except KeyError:
-                raise ValidationError(f"unknown contrast preset {self.contrast!r}") from None
-        else:
-            c = np.asarray(self.contrast, dtype=np.float64)
-        return ContrastSpec(c)
+        if not isinstance(self.contrast, str):
+            return ContrastSpec(self.contrast)
+        try:
+            return ContrastSpec(CONTRAST_PRESETS[self.contrast](self.k))
+        except KeyError:
+            raise ValidationError(f"unknown contrast preset {self.contrast!r}") from None
 
     def grid(self) -> Grid:
         return make_uniform_grid(self.m, 0.0, 1.0)
@@ -483,6 +483,8 @@ def load_config_file(path) -> list[SimConfig]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise InputError(f"config file is not valid UTF-8: {exc.reason}") from None
         except json.JSONDecodeError as exc:
             raise InputError(f"malformed config JSON: {exc}") from None
     if not isinstance(raw, dict):
@@ -502,16 +504,7 @@ def load_config_file(path) -> list[SimConfig]:
         if unknown:
             raise InputError(f"setting {idx + 1}: unknown config keys {sorted(unknown)}")
         try:
-            configs.append(SimConfig(**_coerce(merged)))
-        except (TypeError, ValidationError) as exc:
+            configs.append(SimConfig(**merged))
+        except (TypeError, ValueError, ValidationError) as exc:
             raise InputError(f"setting {idx + 1}: {exc}") from None
     return configs
-
-
-def _coerce(entry: dict) -> dict:
-    out = dict(entry)
-    if "n" in out and isinstance(out["n"], list):
-        out["n"] = tuple(out["n"])
-    if "contrast" in out and isinstance(out["contrast"], list):
-        out["contrast"] = np.asarray(out["contrast"], dtype=np.float64)
-    return out

@@ -139,7 +139,7 @@ def test_criterion_06_fast_naive_equivalence():
         a = rng.normal(size=(p, p))
         omega_mat = a @ a.T + p * np.eye(p)
         inv_sqrt = inv_sqrt_spd(omega_mat)
-        omega = OmegaHat(omega_mat, inv_sqrt @ inv_sqrt, inv_sqrt)
+        omega = OmegaHat(omega_mat, inv_sqrt)
         naive = ustat_within_naive(ds, 0, omega, w)
         fast = ustat_within_fast(ds, 0, omega, w)
         for name in ("i_hat", "t_hat", "tr_sigma2_hat", "k4_hat"):
@@ -168,7 +168,7 @@ def test_criterion_07_unbiasedness_suite():
     hn = hn_matrix(spec.c, n)
     td = true_dof(SeparableCovariances(lam, basis), n, hn, w)
     inv_sqrt = inv_sqrt_spd(td.omega)
-    omega_true = OmegaHat(td.omega, inv_sqrt @ inv_sqrt, inv_sqrt)
+    omega_true = OmegaHat(td.omega, inv_sqrt)
     i_s, t_s, tr2_s, _ = separable_trace_integrals(lam, basis, w, inv_sqrt=inv_sqrt)
     _, _, _, sigma_raw = separable_trace_integrals(lam, basis, w)
     h_diag = np.diag(hn)

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import xml.etree.ElementTree as ET
@@ -281,3 +282,132 @@ def test_bundled_config_smoke(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert len([l for l in lines if l.startswith("rate,")]) == 27  # 9 settings x 3 stats
     assert len([l for l in lines if l.startswith("are,")]) == 3
+
+
+def single_error_line(capsys) -> dict:
+    """The one JSON object an error path writes to stderr."""
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
+def write_small_config(path, **overrides):
+    body = {"model": 1, "n": [5, 5, 5, 5], "rho": 0.5, "reps": 2, "seed": 8, **overrides}
+    path.write_text(json.dumps(body))
+
+
+@pytest.mark.parametrize("command", ["test", "simulate", "report"])
+def test_unwritable_out_exit_2(command, tmp_path, capsys):
+    names = ("d.csv", "c.csv", "s.json", "r.csv")
+    data, contrast, config, rates = (tmp_path / name for name in names)
+    write_dataset(data)
+    write_oneway_contrast(contrast)
+    write_small_config(config)
+    assert main(["simulate", "--config", str(config), "--out", str(rates)]) == 0
+    capsys.readouterr()
+    out = str(tmp_path / "missing" / "out")
+    argv = {
+        "test": ["test", "--data", str(data), "--contrast", str(contrast), "--out", out],
+        "simulate": ["simulate", "--config", str(config), "--out", out],
+        "report": ["report", "--in", str(rates), "--out", out],
+    }[command]
+    assert main(argv) == 2
+    assert single_error_line(capsys)["error"] == "FileNotFoundError"
+
+
+RESULTS_HEADER = "kind,label,delta,statistic,rate_pct,completed\n"
+
+
+@pytest.mark.parametrize(
+    "text, fmt, message",
+    [
+        ("rate,a,x,mfw,5.0,20\n", "svg", "malformed results row: delta 'x'"),
+        ("rate,a,0.0,mfw,five,20\n", "svg", "malformed results row: rate_pct 'five'"),
+        ("rate,a,0.0,mfw,5.0,2.5\n", "csv", "malformed results row: completed '2.5'"),
+        ("rate,a,0.0,other,5.0,20\n", "svg", "results file has no rate rows for mfw, mflh, mfp"),
+    ],
+    ids=["delta", "rate_pct", "completed", "no-known-statistic"],
+)
+def test_cmd_report_malformed_field_exit_2(text, fmt, message, tmp_path, capsys):
+    rates = tmp_path / "r.csv"
+    rates.write_text(RESULTS_HEADER + text)
+    out = tmp_path / "out"
+    assert main(["report", "--in", str(rates), "--format", fmt, "--out", str(out)]) == 2
+    assert single_error_line(capsys) == {"error": "InputError", "message": message}
+    assert not out.exists()
+
+
+def test_cmd_report_non_utf8_exit_2(tmp_path, capsys):
+    rates = tmp_path / "r.csv"
+    rates.write_bytes(RESULTS_HEADER.encode() + b"rate,\xff,0.0,mfw,5.0,20\n")
+    assert main(["report", "--in", str(rates), "--out", str(tmp_path / "fig.svg")]) == 2
+    assert single_error_line(capsys) == {
+        "error": "InputError", "message": "results file is not valid UTF-8: invalid start byte"
+    }
+
+
+def test_cmd_report_csv_without_completed_exit_2(tmp_path, capsys):
+    rates = tmp_path / "r.csv"
+    rates.write_text("kind,label,delta,statistic,rate_pct\nrate,a,0.0,mfw,5.0\n")
+    out = tmp_path / "se.csv"
+    assert main(["report", "--in", str(rates), "--format", "csv", "--out", str(out)]) == 2
+    assert single_error_line(capsys) == {
+        "error": "InputError", "message": "results file lacks the expected rate columns"
+    }
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{"n": ["x", 5, 5, 5]}, {"contrast": [[1, "x", 0, -1]]}],
+    ids=["n", "contrast"],
+)
+def test_cmd_simulate_non_numeric_config_exit_2(overrides, tmp_path, capsys):
+    config = tmp_path / "s.json"
+    write_small_config(config, **overrides)
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "a.csv")]) == 2
+    err = single_error_line(capsys)
+    assert err["error"] == "InputError" and err["message"].startswith("setting 1: ")
+
+
+def test_cmd_simulate_non_utf8_config_exit_2(tmp_path, capsys):
+    config = tmp_path / "s.json"
+    config.write_bytes(b'{"label": "\xff", "model": 1}')
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "a.csv")]) == 2
+    assert single_error_line(capsys) == {
+        "error": "InputError", "message": "config file is not valid UTF-8: invalid start byte"
+    }
+
+
+def test_cmd_simulate_label_with_comma_and_quote_round_trips(tmp_path):
+    label = 'model 1, "n5"'
+    config = tmp_path / "s.json"
+    write_small_config(config, label=label)
+    rates = tmp_path / "r.csv"
+    assert main(["simulate", "--config", str(config), "--out", str(rates)]) == 0
+    se_out = tmp_path / "se.csv"
+    assert main(["report", "--in", str(rates), "--format", "csv", "--out", str(se_out)]) == 0
+    with open(se_out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["label"] for row in rows] == [label] * 3
+    assert [row["statistic"] for row in rows] == ["mfw", "mflh", "mfp"]
+    svg_out = tmp_path / "fig.svg"
+    assert main(["report", "--in", str(rates), "--format", "svg", "--out", str(svg_out)]) == 0
+    root = ET.fromstring(svg_out.read_text())
+    assert len([el for el in root.iter() if el.tag.endswith("polyline")]) == 3
+
+
+def test_cmd_test_omitted_trailing_cells_are_zero(tmp_path):
+    # Column 4 of the contrast and row 2 of C0 are left out of the sparse files.
+    data = tmp_path / "data.csv"
+    write_dataset(data)
+    sparse = ("1,1,1\n1,2,-1\n2,2,1\n2,3,-1\n", "1,1,1,0.25\n")
+    explicit = (sparse[0] + "1,4,0\n2,4,0\n", sparse[1] + "2,1,1,0\n")
+    reports = []
+    for name, (contrast_rows, c0_rows) in {"sparse": sparse, "explicit": explicit}.items():
+        contrast, c0, out = (tmp_path / f"{name}.{ext}" for ext in ("c.csv", "c0.csv", "json"))
+        contrast.write_text("row,col,value\n" + contrast_rows)
+        c0.write_text("row,component,time_index,value\n" + c0_rows)
+        argv = ["test", "--data", str(data), "--contrast", str(contrast), "--c0", str(c0)]
+        assert main(argv + ["--out", str(out)]) == 0
+        reports.append(out.read_text())
+    assert reports[0] == reports[1]

@@ -39,14 +39,14 @@ def dataset_from(groups, m):
 
 def identity_omega(p):
     eye = np.eye(p)
-    return OmegaHat(omega=eye, inv=eye, inv_sqrt=eye)
+    return OmegaHat(omega=eye, inv_sqrt=eye)
 
 
 def random_omega(rng, p):
     a = rng.normal(size=(p, p))
     omega = a @ a.T + p * np.eye(p)
     inv_sqrt = inv_sqrt_spd(omega)
-    return OmegaHat(omega=omega, inv=inv_sqrt @ inv_sqrt, inv_sqrt=inv_sqrt)
+    return OmegaHat(omega=omega, inv_sqrt=inv_sqrt)
 
 
 def test_within_zero_curves_all_zero():
@@ -218,7 +218,7 @@ def test_k4_direct_evaluation_tiny_case():
     wv = w.weights
     first = 0.0
     for j in range(5):
-        kernel = np.einsum("pt,pq,qs->ts", centered[j], omega.inv, centered[j])
+        kernel = np.einsum("pt,pq,qs->ts", centered[j], omega.inv_sqrt @ omega.inv_sqrt, centered[j])
         first += float(np.einsum("ts,t,s->", kernel**2, wv, wv))
     first /= 4.0
     expected = first - within.tr_sigma2_hat - within.i_hat - within.t_hat
@@ -242,7 +242,7 @@ def test_k4_gaussian_matches_exact_finite_sample_mean():
     i_mat, t_mat, tr2, sigma = separable_trace_integrals(lam, basis, w)
     omega_mat = sigma[0] / n
     inv_sqrt = inv_sqrt_spd(omega_mat)
-    omega = OmegaHat(omega=omega_mat, inv=inv_sqrt @ inv_sqrt, inv_sqrt=inv_sqrt)
+    omega = OmegaHat(omega=omega_mat, inv_sqrt=inv_sqrt)
     i_s, t_s, tr2_s, _ = separable_trace_integrals(lam, basis, w, inv_sqrt=inv_sqrt)
     target = -(i_s[0, 0] + t_s[0, 0] + tr2_s[0]) / n
     means = np.zeros((1, p, m))

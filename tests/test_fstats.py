@@ -50,6 +50,17 @@ def test_statistics_rejects_singular_m2():
         statistics(np.eye(2), np.outer([1.0, 1.0], [1.0, 1.0]))
 
 
+def test_statistics_rejects_rank_deficient_m2_in_every_draw():
+    # A rank-3 4x4 M2 often leaves LAPACK's Cholesky a tiny positive pivot
+    # rather than a nonpositive one, so the factorization alone misses it.
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        a = rng.normal(size=(4, 6))
+        x = rng.normal(size=(4, 3))
+        with pytest.raises(SingularErrorMatrixError):
+            statistics(a @ a.T, x @ x.T)
+
+
 def test_f_cdf_symmetry_point():
     assert f_cdf(1.0, 1.0, 1.0) == pytest.approx(0.5, rel=1e-12)
 

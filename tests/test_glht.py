@@ -290,6 +290,16 @@ def test_c0_csv_rows_bounded_by_q():
     assert load_c0_csv(header + "2,2,3,1\n", p=2, m=3, q=2).shape == (2, 2, 3)
 
 
+def test_bounds_size_sparse_contrast_and_c0():
+    # Omitted cells are zero, trailing ones included, once the caller gives the bound.
+    c = load_contrast_csv("row,col,value\n1,1,1\n1,2,-1\n", k=4)
+    assert c.tolist() == [[1.0, -1.0, 0.0, 0.0]]
+    assert load_contrast_csv("row,col,value\n1,1,1\n1,2,-1\n").shape == (1, 2)
+    c0 = load_c0_csv("row,component,time_index,value\n1,2,3,0.5\n", p=2, m=3, q=2)
+    assert c0.shape == (2, 2, 3)
+    assert c0[0, 1, 2] == 0.5 and np.count_nonzero(c0) == 1
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
