@@ -10,8 +10,10 @@ with rows indexed by (observation, component),
 each functional becomes a small contraction of p x p blocks of K. Once K
 exists nothing touches the time grid again, so the whole cost in m is one
 symmetric rank-m update (``gram_upper``) of the curves scaled by the
-square roots of the quadrature weights. The other kernels take a
-block of K and never see curves.
+square roots of the quadrature weights: one Gram of the curves the
+hypothesis weighs, since a group with a zero column in the contrast adds
+nothing to any functional the test uses. The other kernels take a block
+of K and never see curves.
 
 The within-group kernel needs each group's curves centered by the group's
 mean. They then sum to zero over observations at every time point, so

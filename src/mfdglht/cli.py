@@ -12,6 +12,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -151,20 +152,28 @@ def _summary_path(out_path: str) -> str:
 
 
 def _read_rate_rows(path) -> list[dict]:
-    """The rate rows of a ``simulate`` table, as strings whose numbers parse."""
+    """The rate rows of a ``simulate`` table, as strings whose numbers parse.
+
+    The reader sees the file as written, so a quoted field keeps its commas,
+    quotes and line breaks; then every field is stripped and rows with no
+    nonblank field are dropped.
+    """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            reader = csv.DictReader(line.strip() for line in fh if line.strip())
-            header, rows = reader.fieldnames, list(reader)
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            table = [[field.strip() for field in row] for row in csv.reader(fh)]
     except UnicodeDecodeError as exc:
         raise InputError(f"results file is not valid UTF-8: {exc.reason}") from None
-    if header is None:
+    except csv.Error as exc:
+        raise InputError(f"malformed results file: {exc}") from None
+    table = [row for row in table if any(row)]
+    if not table:
         raise InputError("results file is empty")
+    header, *body = table
     if not {"kind", "statistic", *REPORT_NUMBERS} <= set(header):
         raise InputError("results file lacks the expected rate columns")
-    if any(None in row or None in row.values() for row in rows):
+    if any(len(row) != len(header) for row in body):
         raise InputError("malformed results row")
-    rows = [row for row in rows if row["kind"] == "rate"]
+    rows = [row for row in (dict(zip(header, row)) for row in body) if row["kind"] == "rate"]
     if not rows:
         raise InputError("results file has no rate rows")
     for row in rows:
@@ -186,6 +195,11 @@ def _svg_chart(rows: list[dict]) -> str:
             continue
         x = float(row["delta"]) if x_is_delta else float(len(series[name]))
         series[name].append((x, float(row["rate_pct"])))
+    # A setting whose every replication errored has rate nan: it has no point.
+    series = {
+        name: [(x, y) for x, y in pts if math.isfinite(x) and math.isfinite(y)]
+        for name, pts in series.items()
+    }
     width, height, margin = 640, 420, 56
     xs = [x for pts in series.values() for x, _ in pts]
     ys = [y for pts in series.values() for _, y in pts]

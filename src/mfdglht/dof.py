@@ -7,10 +7,13 @@ U-statistics over distinct observation tuples so that unknown group means
 drop out exactly.
 
 Every functional is a reduction of one weighted Gram of the standardized
-curves (see ``_kernels``). ``build_glht`` prepares those curves in a
-single pass: each group centered by its own mean, scaled by sqrt(w) and
-transformed by the pooled inverse square root. ``dof_estimates`` forms
-their Gram once and reads every group and pair from its blocks; the
+curves (see ``_kernels``): one Gram of the curves the hypothesis weighs.
+A group whose column of the contrast is zero has h_ii = 0 and h_ij = 0, so
+its functionals enter neither denominator, and ``build_glht`` prepares only
+the other groups' curves in a single pass: each group centered by its own
+mean, scaled by sqrt(w) and transformed by the pooled inverse square root.
+``dof_estimates`` forms their Gram once and reads every touched group and
+pair from its blocks; the
 within-group U-statistics use an inclusion-exclusion rewrite in terms of
 complete-sum aggregates, never touching 3- or 4-tuples. The distinct-tuple
 U-statistics are invariant to a common shift, so centering changes no
@@ -75,7 +78,13 @@ class WithinGroupUStats:
 
 @dataclass(frozen=True)
 class DofEstimate:
-    """Estimated degrees of freedom plus every intermediate statistic."""
+    """Estimated degrees of freedom plus every intermediate statistic.
+
+    The per-group fields have one entry per group of the dataset, but only
+    the groups the hypothesis weighs (a nonzero column of C) are computed.
+    For any other group i, ``within[i]`` holds NaN, as do row and column i
+    of ``i_cross`` and ``t_cross``, and its clamp flags are False.
+    """
 
     d_b: float
     d_e: float
@@ -161,7 +170,7 @@ def ustat_within_fast(
     """All four within-group functionals of group ``i``, standardized by ``omega``.
 
     The same block reductions and ``_within_functionals`` that
-    ``dof_estimates`` runs over every group, on this group's Gram alone.
+    ``dof_estimates`` runs over every group it reads, on this group's Gram alone.
     """
     _require_replication(ds.n, (i,))
     n_i = ds.n[i]
@@ -219,17 +228,20 @@ def dof_estimates(
 ) -> DofEstimate:
     """Estimated degrees of freedom for the hypothesis and error matrices.
 
-    Every group and pair reads its blocks of one Gram of the curves that
-    ``build_glht`` standardized. Each group's bracketed denominator
-    contribution estimates a variance and is clamped at zero from below;
-    clamping is reported per group in the result's diagnostics.
+    Every group and pair the hypothesis weighs reads its blocks of one Gram
+    of the curves that ``build_glht`` standardized; every group must still
+    have n >= 4. Each group's bracketed denominator contribution estimates a
+    variance and is clamped at zero from below; clamping is reported per
+    group in the result's diagnostics.
     """
-    sizes = ds.n
-    _require_replication(sizes, range(ds.k))
+    _require_replication(ds.n, range(ds.k))
     if glht is None:
         glht = build_glht(ds, spec, w)
+    touched = np.array(glht.touched)
+    sizes = [ds.n[i] for i in glht.touched]
     p = ds.p
     n = np.asarray(sizes, dtype=np.float64)
+    hn = glht.hn[touched][:, touched]
     gram = _kernels.gram_upper(glht.standardized.reshape(-1, ds.m))
     bounds = p * np.cumsum([0, *sizes])
     rows = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
@@ -248,20 +260,28 @@ def dof_estimates(
         i_cross[i1, i2] = i_cross[i2, i1] = iv
         t_cross[i1, i2] = t_cross[i2, i1] = tv
 
-    brackets, off_sum = _denominator_terms(glht.hn, n, functionals[3], i_cross + t_cross)
-    db_denom, de_denom = np.maximum(brackets, 0.0) @ np.diag(glht.hn) ** 2 + (off_sum, 0.0)
+    brackets, off_sum = _denominator_terms(hn, n, functionals[3], i_cross + t_cross)
+    db_denom, de_denom = np.maximum(brackets, 0.0) @ np.diag(hn) ** 2 + (off_sum, 0.0)
     if db_denom <= 0 or de_denom <= 0:
         raise DegenerateDofError(
             "degrees-of-freedom denominator is nonpositive after clamping; "
             "the data carry no usable variation"
         )
-    clamped_b, clamped_e = (tuple(flags) for flags in (brackets < 0).tolist())
+    # Spread over all k groups; an untouched group's entries are never computed.
+    k = ds.k
+    within = np.full((4, k), np.nan)
+    within[:, touched] = functionals
+    cross = np.full((2, k, k), np.nan)
+    cross[:, touched[:, None], touched] = i_cross, t_cross
+    clamped = np.zeros((2, k), dtype=bool)
+    clamped[:, touched] = brackets < 0
+    clamped_b, clamped_e = (tuple(flags) for flags in clamped.tolist())
     return DofEstimate(
         d_b=float(p * (p + 1) / db_denom),
         d_e=float(p * (p + 1) / de_denom),
-        within=tuple(WithinGroupUStats(*group) for group in functionals.T.tolist()),
-        i_cross=i_cross,
-        t_cross=t_cross,
+        within=tuple(WithinGroupUStats(*group) for group in within.T.tolist()),
+        i_cross=cross[0],
+        t_cross=cross[1],
         clamped_b=clamped_b,
         clamped_e=clamped_e,
     )

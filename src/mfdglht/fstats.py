@@ -76,6 +76,12 @@ class FApprox:
     pole_fallback: bool = False
 
 
+def _json_number(value: float) -> float | None:
+    """JSON has no NaN: the functionals of groups the hypothesis does not
+    weigh, which are never computed, become null."""
+    return None if math.isnan(value) else value
+
+
 @dataclass(frozen=True)
 class TestReport:
     """Everything one test run produces, ready for JSON serialization."""
@@ -110,15 +116,15 @@ class TestReport:
                 "d_e": self.dof.d_e,
                 "within": [
                     {
-                        "i_hat": ws.i_hat,
-                        "t_hat": ws.t_hat,
-                        "tr_sigma2_hat": ws.tr_sigma2_hat,
-                        "k4_hat": ws.k4_hat,
+                        "i_hat": _json_number(ws.i_hat),
+                        "t_hat": _json_number(ws.t_hat),
+                        "tr_sigma2_hat": _json_number(ws.tr_sigma2_hat),
+                        "k4_hat": _json_number(ws.k4_hat),
                     }
                     for ws in self.dof.within
                 ],
-                "i_cross": self.dof.i_cross.tolist(),
-                "t_cross": self.dof.t_cross.tolist(),
+                "i_cross": [[_json_number(v) for v in row] for row in self.dof.i_cross.tolist()],
+                "t_cross": [[_json_number(v) for v in row] for row in self.dof.t_cross.tolist()],
                 "clamped_b": list(self.dof.clamped_b),
                 "clamped_e": list(self.dof.clamped_e),
             },

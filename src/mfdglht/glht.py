@@ -6,6 +6,10 @@ full-rank q x k coefficient matrix C and a constant curve matrix C0(t)
 hypothesis variation matrix B (an integrated quadratic form in the
 contrasted group means), and the error variation matrix E (the pooled
 integrated covariance), whose expectations match under the null.
+
+A group whose column of C is zero has zero weight in H, B and E, so
+``build_glht`` prepares only the curves of the groups C touches: one Gram
+of the curves the hypothesis weighs is all the degrees of freedom read.
 """
 
 from __future__ import annotations
@@ -19,7 +23,13 @@ from .dataset import FunctionalDataset, _cell_label, _read_rows
 from .errors import ContrastRankError, IngestionError, ValidationError
 from .grid import QuadWeights
 from .moments import (
-    MeanFunctions, OmegaHat, _centered_weighted, _integrated_cov, _pooled, omega_hat
+    MeanFunctions,
+    OmegaHat,
+    _centered_weighted,
+    _integrated_cov,
+    _pooled,
+    _require_covariance,
+    omega_hat,
 )
 
 __all__ = [
@@ -84,13 +94,19 @@ class ContrastSpec:
 @dataclass(frozen=True)
 class GlhtMatrices:
     """All matrices the tests consume for one dataset and contrast, and the
-    standardized curves, read-only (N, p, m), that the degrees of freedom read."""
+    standardized curves that the degrees of freedom read.
+
+    ``touched`` lists, in order, the groups with a nonzero column in C,
+    which are exactly those with h_ii > 0. ``standardized`` holds only
+    their curves, read-only, shape (sum of their n_i, p, m), in group order.
+    """
 
     hn: np.ndarray
     bn: np.ndarray
     en: np.ndarray
     omega: OmegaHat
     standardized: np.ndarray = field(repr=False)
+    touched: tuple[int, ...]
 
 
 def oneway_contrast(k: int) -> ContrastSpec:
@@ -120,17 +136,17 @@ def hn_matrix(c: np.ndarray, n) -> np.ndarray:
 
 
 def _bn_from_factor(
-    means: MeanFunctions, spec: ContrastSpec, w: QuadWeights, cho: tuple
+    means: MeanFunctions, c: np.ndarray, c0: np.ndarray | None, w: QuadWeights, cho: tuple
 ) -> np.ndarray:
+    """B from the means of the groups that ``c``'s columns weigh, one column each."""
     _, p, m = means.means.shape
-    resid = np.einsum("qk,kpm->qpm", spec.c, means.means)
-    if spec.c0 is not None:
-        if spec.c0.shape != (spec.q, p, m):
-            raise ValidationError(
-                f"C0 shape {spec.c0.shape} does not match (q={spec.q}, p={p}, m={m})"
-            )
-        resid = resid - spec.c0
-    solved = scipy.linalg.cho_solve(cho, resid.reshape(spec.q, -1)).reshape(resid.shape)
+    q = c.shape[0]
+    resid = np.einsum("qk,kpm->qpm", c, means.means)
+    if c0 is not None:
+        if c0.shape != (q, p, m):
+            raise ValidationError(f"C0 shape {c0.shape} does not match (q={q}, p={p}, m={m})")
+        resid = resid - c0
+    solved = scipy.linalg.cho_solve(cho, resid.reshape(q, -1)).reshape(resid.shape)
     bn = np.einsum("qpt,qot,t->po", resid, solved, w.weights)
     return (bn + bn.T) / 2.0
 
@@ -142,7 +158,7 @@ def b_matrix(
     k = means.means.shape[0]
     if spec.k != k:
         raise ValidationError(f"contrast has {spec.k} columns but dataset has {k} groups")
-    return _bn_from_factor(means, spec, w, _gram_cho_factor(spec.c, n))
+    return _bn_from_factor(means, spec.c, spec.c0, w, _gram_cho_factor(spec.c, n))
 
 
 def e_matrix(sigmas, hn: np.ndarray, n) -> np.ndarray:
@@ -154,25 +170,30 @@ def e_matrix(sigmas, hn: np.ndarray, n) -> np.ndarray:
 def build_glht(ds: FunctionalDataset, spec: ContrastSpec, w: QuadWeights) -> GlhtMatrices:
     """Assemble H, B, E, the pooled matrix and the standardized curves.
 
-    The curves are centered by group and scaled by sqrt(w) once. B reads the
-    group means, each covariance its group's centered curves; the pooled
-    inverse square root then standardizes those curves in place.
+    Only the groups with a nonzero column in C are read: every other group
+    has zero weight in H, B and E. Their curves are centered by group and
+    scaled by sqrt(w) once. B reads their means, each covariance its group's
+    centered curves; the pooled inverse square root then standardizes those
+    curves in place. Every group's size is still checked, read or not.
     """
     if spec.k != ds.k:
         raise ValidationError(f"contrast has {spec.k} columns but dataset has {ds.k} groups")
     n = np.asarray(ds.n)
+    touched = np.flatnonzero(np.any(spec.c != 0, axis=0))
     cho = _gram_cho_factor(spec.c, n)  # the one factor of C D C^T that H and B share
     hn = _hn_from_factor(spec.c, cho)
-    means, curves = _centered_weighted(ds, w, range(ds.k))
-    bn = _bn_from_factor(MeanFunctions(means), spec, w, cho)
-    groups = np.split(curves, np.cumsum(ds.n)[:-1])
-    sigmas = [_integrated_cov(rows, i) for i, rows in enumerate(groups)]
-    omega = omega_hat(sigmas, np.diag(hn), n)
+    means, curves = _centered_weighted(ds, w, touched)
+    bn = _bn_from_factor(MeanFunctions(means), spec.c[:, touched], spec.c0, w, cho)
+    _require_covariance(ds.n, range(ds.k))
+    groups = np.split(curves, np.cumsum(n[touched])[:-1])
+    sigmas = [_integrated_cov(rows) for rows in groups]
+    omega = omega_hat(sigmas, np.diag(hn)[touched], n[touched])
     for rows in groups:
         np.matmul(omega.inv_sqrt, rows, out=rows)
     curves.flags.writeable = False
     # E equals the pooled matrix term for term, so it is not summed a second time.
-    return GlhtMatrices(hn=hn, bn=bn, en=omega.omega, omega=omega, standardized=curves)
+    return GlhtMatrices(hn=hn, bn=bn, en=omega.omega, omega=omega, standardized=curves,
+                        touched=tuple(touched.tolist()))
 
 
 CONTRAST_HEADER = ("row", "col", "value")

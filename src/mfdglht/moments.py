@@ -78,14 +78,17 @@ def _centered_weighted(ds: FunctionalDataset, w: QuadWeights, groups):
     return means, curves
 
 
-def _integrated_cov(curves: np.ndarray, i: int) -> np.ndarray:
-    """Integrated covariance from group ``i``'s ``_centered_weighted`` curves."""
-    n_obs = curves.shape[0]
-    if n_obs < 2:
-        raise InsufficientReplicationError(
-            f"group {i + 1} needs n >= 2 observations for a covariance, has {n_obs}"
-        )
-    sigma = np.matmul(curves, curves.transpose(0, 2, 1)).sum(axis=0) / (n_obs - 1)
+def _require_covariance(sizes: tuple[int, ...], groups) -> None:
+    for i in groups:
+        if sizes[i] < 2:
+            raise InsufficientReplicationError(
+                f"group {i + 1} needs n >= 2 observations for a covariance, has {sizes[i]}"
+            )
+
+
+def _integrated_cov(curves: np.ndarray) -> np.ndarray:
+    """Integrated covariance from one group's ``_centered_weighted`` curves (n >= 2)."""
+    sigma = np.matmul(curves, curves.transpose(0, 2, 1)).sum(axis=0) / (curves.shape[0] - 1)
     return (sigma + sigma.T) / 2.0
 
 
@@ -94,7 +97,8 @@ def sigma_hat(ds: FunctionalDataset, i: int, w: QuadWeights) -> np.ndarray:
 
     Requires at least two observations in the group.
     """
-    return _integrated_cov(_centered_weighted(ds, w, (i,))[1], i)
+    _require_covariance(ds.n, (i,))
+    return _integrated_cov(_centered_weighted(ds, w, (i,))[1])
 
 
 def inv_sqrt_spd(a: np.ndarray, rel_tol: float = PD_REL_TOL) -> np.ndarray:

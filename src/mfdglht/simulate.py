@@ -87,7 +87,8 @@ class SimConfig:
     """One Monte Carlo setting.
 
     ``n`` may be a preset name ("n1", "n2", "n3") or an explicit tuple.
-    ``contrast`` may be a preset name or an explicit coefficient matrix.
+    ``contrast`` may be a preset name or an explicit coefficient matrix,
+    which is stored as a tuple of row tuples so that configs compare and hash.
     """
 
     n: tuple[int, ...] = (15, 15, 25, 25)
@@ -98,7 +99,7 @@ class SimConfig:
     scenario: str = "S1"
     model: int = 1
     delta: float = 0.0
-    contrast: str = "oneway"
+    contrast: str | tuple[tuple[float, ...], ...] = "oneway"
     alpha: float = 0.05
     reps: int = 1000
     seed: int = 20240101
@@ -113,7 +114,10 @@ class SimConfig:
         else:
             object.__setattr__(self, "n", tuple(int(v) for v in self.n))
         if not isinstance(self.contrast, str):
-            object.__setattr__(self, "contrast", np.asarray(self.contrast, dtype=np.float64))
+            rows = np.atleast_2d(np.asarray(self.contrast, dtype=np.float64))
+            if rows.ndim != 2:
+                raise ValidationError("contrast must be a preset name or a q x k matrix")
+            object.__setattr__(self, "contrast", tuple(map(tuple, rows.tolist())))
         if any(v < 1 for v in self.n):
             raise ValidationError("group sizes must be positive")
         if self.scenario not in SCENARIO_NUS:

@@ -325,8 +325,12 @@ RESULTS_HEADER = "kind,label,delta,statistic,rate_pct,completed\n"
         ("rate,a,0.0,mfw,five,20\n", "svg", "malformed results row: rate_pct 'five'"),
         ("rate,a,0.0,mfw,5.0,2.5\n", "csv", "malformed results row: completed '2.5'"),
         ("rate,a,0.0,other,5.0,20\n", "svg", "results file has no rate rows for mfw, mflh, mfp"),
+        ("rate,a,0.0,mfw,nan,0\n", "svg", "results file has no rate rows for mfw, mflh, mfp"),
+        (f"rate,{'a' * 200_000},0.0,mfw,5.0,20\n", "csv",
+         "malformed results file: field larger than field limit (131072)"),
     ],
-    ids=["delta", "rate_pct", "completed", "no-known-statistic"],
+    ids=["delta", "rate_pct", "completed", "no-known-statistic", "no-finite-rate",
+         "huge-field"],
 )
 def test_cmd_report_malformed_field_exit_2(text, fmt, message, tmp_path, capsys):
     rates = tmp_path / "r.csv"
@@ -411,3 +415,38 @@ def test_cmd_test_omitted_trailing_cells_are_zero(tmp_path):
         assert main(argv + ["--out", str(out)]) == 0
         reports.append(out.read_text())
     assert reports[0] == reports[1]
+
+
+def test_cmd_report_svg_skips_nan_rates(tmp_path):
+    # simulate writes rate_pct nan for a setting whose every replication errored.
+    rates = tmp_path / "r.csv"
+    rates.write_text(RESULTS_HEADER + "rate,a,0.0,mfw,nan,0\nrate,a,0.5,mfw,5.0,20\n")
+    out = tmp_path / "fig.svg"
+    assert main(["report", "--in", str(rates), "--format", "svg", "--out", str(out)]) == 0
+    svg = out.read_text()
+    assert "nan" not in svg
+    (line,) = [el for el in ET.fromstring(svg).iter() if el.tag.endswith("polyline")]
+    assert len(line.get("points").split()) == 1
+
+
+def test_cmd_simulate_label_with_line_break_round_trips(tmp_path):
+    label = "model 1\nn5"
+    config = tmp_path / "s.json"
+    write_small_config(config, label=label)
+    rates = tmp_path / "r.csv"
+    assert main(["simulate", "--config", str(config), "--out", str(rates)]) == 0
+    se_out = tmp_path / "se.csv"
+    assert main(["report", "--in", str(rates), "--format", "csv", "--out", str(se_out)]) == 0
+    with open(se_out, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["label"] for row in rows] == [label] * 3
+
+
+def test_cmd_report_tolerates_padding_and_blank_lines(tmp_path):
+    rates = tmp_path / "r.csv"
+    rates.write_text("\n " + RESULTS_HEADER + "\n  rate , a ,0.0, mfw ,5.0,20 \n,,,,,\n")
+    out = tmp_path / "se.csv"
+    assert main(["report", "--in", str(rates), "--format", "csv", "--out", str(out)]) == 0
+    with open(out, newline="", encoding="utf-8") as fh:
+        (row,) = list(csv.DictReader(fh))
+    assert (row["label"], row["statistic"], row["rate_pct"]) == ("a", "mfw", "5.0")

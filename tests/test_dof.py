@@ -1,5 +1,6 @@
 import sys
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -392,17 +393,30 @@ def test_dof_estimates_match_public_wrappers(case, monkeypatch):
 
     monkeypatch.setattr(_kernels, "gram_upper", counting_gram)
     pooled = dof_estimates(ds, spec, w, glht=glht)
-    assert grams == [(sum(sizes) * p, m)]  # one Gram of all the curves, nothing else over m
+    # Group 3 has a zero column of C in the first two cases, so it is not read.
+    touched = [0, 1, 3] if case != "oneway" else [0, 1, 2]
+    assert glht.touched == tuple(touched)
+    # One Gram of the touched groups' curves, nothing else over m.
+    assert grams == [(sum(sizes[i] for i in touched) * p, m)]
     monkeypatch.undo()
 
     d_b, d_e, within, cross = _assembled_from_wrappers(ds, spec, w)
     assert pooled.d_b == pytest.approx(d_b, rel=1e-12)
     assert pooled.d_e == pytest.approx(d_e, rel=1e-12)
-    for got, want in zip(pooled.within, within):
-        for name in ("i_hat", "t_hat", "tr_sigma2_hat", "k4_hat"):
-            assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12)
-    assert np.allclose(pooled.i_cross, cross[0], rtol=1e-12, atol=0)
-    assert np.allclose(pooled.t_cross, cross[1], rtol=1e-12, atol=0)
+    for i, (got, want) in enumerate(zip(pooled.within, within)):
+        if i in touched:
+            assert astuple(got) == pytest.approx(astuple(want), rel=1e-12)
+        else:
+            assert np.all(np.isnan(astuple(got)))
+    block = np.ix_(touched, touched)
+    assert np.allclose(pooled.i_cross[block], cross[0][block], rtol=1e-12, atol=0)
+    assert np.allclose(pooled.t_cross[block], cross[1][block], rtol=1e-12, atol=0)
+    untouched = np.ones(ds.k, dtype=bool)
+    untouched[touched] = False
+    for got in (pooled.i_cross, pooled.t_cross):
+        assert np.all(np.isnan(got[untouched])) and np.all(np.isnan(got[:, untouched]))
+    assert not any(np.array(pooled.clamped_b)[untouched])
+    assert not any(np.array(pooled.clamped_e)[untouched])
 
 
 def test_curves_are_prepared_once_per_run(monkeypatch):
@@ -433,6 +447,88 @@ def test_curves_are_prepared_once_per_run(monkeypatch):
     calls.update(prepare=0, gram=0)
     dof_estimates(ds, spec, w, glht=glht)
     assert calls == {"prepare": 0, "gram": 1}
+
+
+@st.composite
+def untouched_cases(draw):
+    """A dataset, a contrast with at least one zero column, and the indices of
+    the groups whose columns are nonzero (the touched groups)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k, p, m = draw(st.integers(2, 4)), draw(st.integers(1, 3)), draw(st.integers(3, 8))
+    sizes = draw(st.lists(st.integers(4, 9), min_size=k, max_size=k))
+    groups = [rng.normal(size=(n, p, m)) * rng.uniform(0.5, 2.0) for n in sizes]
+    touched = sorted(draw(st.sets(st.integers(0, k - 1), min_size=1, max_size=k - 1)))
+    q = draw(st.integers(1, len(touched)))
+    c = np.zeros((q, k))
+    c[:, touched] = rng.normal(size=(q, len(touched)))
+    c0 = rng.normal(size=(q, p, m)) if draw(st.booleans()) else None
+    return groups, ContrastSpec(c, c0), touched
+
+
+def _glht_summary(groups, spec):
+    report = run_glht(dataset_from(groups, m=groups[0].shape[2]), spec)
+    return report, [report.dof.d_b, report.dof.d_e] + [
+        report.p_values[name] for name in ("mfw", "mflh", "mfp")
+    ]
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=untouched_cases())
+def test_run_glht_ignores_untouched_groups_values(case):
+    # A group with a zero column of C has no weight in the test, so any finite
+    # curves in its place, at any magnitude, leave every output unchanged.
+    groups, spec, touched = case
+    rng = np.random.default_rng(len(groups))
+    replaced = [
+        g if i in touched else 1e6 * rng.normal(size=g.shape) + 1e4
+        for i, g in enumerate(groups)
+    ]
+    try:
+        _, base = _glht_summary(groups, spec)
+    except MfdGlhtError as exc:
+        with pytest.raises(type(exc)):
+            _glht_summary(replaced, spec)
+        return
+    assert _glht_summary(replaced, spec)[1] == pytest.approx(base, rel=1e-12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=untouched_cases())
+def test_run_glht_same_without_untouched_groups(case):
+    # Dropping the untouched groups and their zero columns of C (C0 keeps its
+    # rows) is the same hypothesis on the remaining groups.
+    groups, spec, touched = case
+    dropped = [groups[i] for i in touched]
+    dropped_spec = ContrastSpec(spec.c[:, touched], spec.c0)
+    try:
+        report, base = _glht_summary(groups, spec)
+    except MfdGlhtError as exc:
+        with pytest.raises(type(exc)):
+            _glht_summary(dropped, dropped_spec)
+        return
+    dropped_report, got = _glht_summary(dropped, dropped_spec)
+    assert got == pytest.approx(base, rel=1e-12)
+    block = np.ix_(touched, touched)
+    for name in ("i_cross", "t_cross"):
+        assert np.allclose(
+            getattr(dropped_report.dof, name), getattr(report.dof, name)[block],
+            rtol=1e-12, atol=0,
+        )
+    for got_ws, i in zip(dropped_report.dof.within, touched):
+        assert astuple(got_ws) == pytest.approx(astuple(report.dof.within[i]), rel=1e-12)
+
+
+@pytest.mark.parametrize("untouched_n", [1, 3])
+def test_untouched_group_still_needs_replication(untouched_n):
+    # The size checks run over every group, whether the hypothesis reads it or not.
+    rng = np.random.default_rng(45)
+    sizes = (5, untouched_n, 6)
+    ds = dataset_from([rng.normal(size=(n, 2, 5)) for n in sizes], m=5)
+    spec = ContrastSpec(np.array([[1.0, 0.0, -1.0]]))
+    with pytest.raises(InsufficientReplicationError, match="group 2"):
+        run_glht(ds, spec)
+    with pytest.raises(InsufficientReplicationError, match="group 2"):
+        dof_estimates(ds, spec, quad_weights(ds.grid))
 
 
 @st.composite

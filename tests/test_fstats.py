@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -5,7 +7,9 @@ import scipy.stats
 
 from mfdglht import (
     ApproximationUndefinedError,
+    ContrastSpec,
     InputError,
+    SimConfig,
     SingularErrorMatrixError,
     ValidationError,
     f_approx_mflh,
@@ -13,6 +17,8 @@ from mfdglht import (
     f_approx_mfw,
     f_cdf,
     f_sf,
+    gen_sample,
+    run_glht,
     statistics,
 )
 
@@ -373,3 +379,24 @@ def test_statistics_rejects_nonfinite_entries(which, bad):
     pair[which][0, 1] = pair[which][1, 0] = bad
     with pytest.raises(ValidationError, match="finite"):
         statistics(pair["m1"], pair["m2"])
+
+
+def _reject_constant(token):
+    raise ValueError(f"bare {token} in JSON")
+
+
+def test_report_json_is_strict_for_an_untouched_group():
+    # Group 3 has a zero column, so its functionals are NaN in the report
+    # object and null in its JSON, never a bare NaN token.
+    with pytest.raises(ValueError):
+        json.loads("[NaN, Infinity]", parse_constant=_reject_constant)
+    ds = gen_sample(SimConfig(n=(6, 5, 7, 8), m=12, reps=1, seed=3), [3, 0])
+    report = run_glht(ds, ContrastSpec(np.array([[1.0, -3.0, 0.0, 2.0]])))
+    assert np.isnan(report.dof.within[2].i_hat)
+    dof = json.loads(report.to_json(), parse_constant=_reject_constant)["dof"]
+    assert set(dof["within"][2].values()) == {None}
+    assert all(isinstance(v, float) for i in (0, 1, 3) for v in dof["within"][i].values())
+    for name in ("i_cross", "t_cross"):
+        assert all(row[2] is None for row in dof[name])
+        assert dof[name][2] == [None] * 4
+        assert dof[name][0][3] == getattr(report.dof, name)[0, 3]

@@ -6,6 +6,7 @@ from mfdglht import (
     DegenerateDofError,
     InputError,
     SimConfig,
+    ValidationError,
     are_metric,
     basis_functions,
     component_stream_basis,
@@ -312,3 +313,15 @@ def test_config_file_rejects_unknown_keys(tmp_path):
 
     with pytest.raises(InputError, match="bogus"):
         load_config_file(path)
+
+
+def test_config_with_explicit_contrast_compares_and_hashes():
+    a = SimConfig(contrast=[[1, -1, 0, 0]])
+    b = SimConfig(contrast=np.array([[1.0, -1.0, 0.0, 0.0]]))
+    assert a == b and hash(a) == hash(b)
+    assert a != SimConfig(contrast=[[1, 0, 0, -1]])
+    assert a.contrast == ((1.0, -1.0, 0.0, 0.0),)
+    np.testing.assert_array_equal(a.contrast_spec().c, [[1.0, -1.0, 0.0, 0.0]])
+    assert SimConfig(contrast=[1, 0, 0, -1]).contrast == ((1.0, 0.0, 0.0, -1.0),)
+    with pytest.raises(ValidationError, match="q x k matrix"):
+        SimConfig(contrast=[[[1, -1, 0, 0]]])
