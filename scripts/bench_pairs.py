@@ -21,6 +21,12 @@ Each side also makes one ``--trace 1`` run, at seed 2 and the benchmark's
 ``run_seconds``; the file keeps its per-layer metrics and failed-op count
 under ``traced``.
 
+Each side also counts, under cProfile, the function calls of two runs
+after a warm-up of each (``CALLS`` below): one ``run_glht`` on
+``gen_sample(SimConfig(n="n3", model=2), [1, 2])`` and one 50-rep study of
+Table 1's model2_n3 setting. The counts are exact and free of timing noise;
+the file keeps them under ``calls``.
+
 Last, each side runs the Tier-1 test suite once (``TIER1`` below, with the
 side's ``src`` first on ``PYTHONPATH``); the file keeps its wall time, its
 exit code and its passed/skipped/failed counts under ``tier1``.
@@ -46,6 +52,24 @@ ENV_PREFIX = "environment: "
 RUN_TIMEOUT_S = 900
 TRACE_SEED = 2
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+CALLS = """
+import cProfile, dataclasses, json, pstats, sys
+sys.path.insert(0, sys.argv[1])
+import mfdglht as lib
+cfg = lib.SimConfig(n="n3", model=2)
+ds, spec = lib.gen_sample(cfg, [1, 2]), cfg.contrast_spec()
+table1 = lib.load_config_file(sys.argv[1] + "/mfdglht/configs/table1_s1.json")
+study = dataclasses.replace(next(c for c in table1 if c.label == "model2_n3"), reps=50)
+runs = {"run_glht_n3": lambda: lib.run_glht(ds, spec),
+        "study_model2_n3_50_reps": lambda: lib.size_power_study(study)}
+counts = {}
+for name, run in runs.items():
+    run()
+    profile = cProfile.Profile()
+    profile.runcall(run)
+    counts[name] = pstats.Stats(profile).total_calls
+print(json.dumps(counts))
+"""
 
 
 def git(*args: str) -> str:
@@ -92,6 +116,13 @@ def run_tier1(checkout: Path) -> dict:
               re.findall(r"(\d+) (passed|skipped|failed)", summary)}
     return {"wall_s": round(wall_s, 1), "returncode": done.returncode, "summary": summary,
             **{word: counts.get(word, 0) for word in ("passed", "skipped", "failed")}}
+
+
+def count_calls(checkout: Path) -> dict:
+    """cProfile call counts of ``CALLS``'s two runs on ``checkout``'s library."""
+    done = subprocess.run([sys.executable, "-c", CALLS, str(checkout / "src")],
+                          capture_output=True, text=True, check=True, timeout=RUN_TIMEOUT_S)
+    return json.loads(done.stdout)
 
 
 def spread(values: list[float]) -> dict:
@@ -167,6 +198,7 @@ def main(argv=None) -> int:
             print(f"traced {side} done", file=sys.stderr, flush=True)
             result["traced"][side] = {key: traced[key]
                                       for key in ("attempted", "failed", "metrics")}
+        result["calls"] = {side: count_calls(checkout) for side, checkout in sides.items()}
         result["tier1"] = {"command": "PYTHONPATH=src python " + " ".join(TIER1)}
         for side, checkout in sides.items():
             result["tier1"][side] = run_tier1(checkout)

@@ -133,6 +133,9 @@ def cmd_simulate(args) -> int:
                 "seed": r.config.seed,
                 "completed": r.completed,
                 "errored": r.errored,
+                "errors_by_kind": r.errors_by_kind,
+                "dof_clamped": r.dof_clamped,
+                "pole_fallbacks": r.pole_fallbacks,
                 "rates_pct": {name: r.rate_percent(name) for name in STATISTIC_NAMES},
                 "elapsed_seconds": r.elapsed_seconds,
             }

@@ -9,11 +9,12 @@ drop out exactly.
 Every functional is a reduction of one weighted Gram of the standardized
 curves (see ``_kernels``): one Gram of the curves the hypothesis weighs.
 A group whose column of the contrast is zero has h_ii = 0 and h_ij = 0, so
-its functionals enter neither denominator, and ``build_glht`` prepares only
-the other groups' curves in a single pass: each group centered by its own
-mean, scaled by sqrt(w) and transformed by the pooled inverse square root.
-``dof_estimates`` forms their Gram once and reads every touched group and
-pair from its blocks; the
+its functionals enter neither denominator, and the preparation pass
+(``glht._prepare``) reads only the other groups' curves: each group centered
+by its own mean, scaled by sqrt(w) and transformed by the pooled inverse
+square root. ``_dof``, the degrees-of-freedom step of the per-dataset pass,
+forms their Gram once and reads every touched group and pair from its
+blocks, at the rows the test's design (``glht._design``) fixed; the
 within-group U-statistics use an inclusion-exclusion rewrite in terms of
 complete-sum aggregates, never touching 3- or 4-tuples. The distinct-tuple
 U-statistics are invariant to a common shift, so centering changes no
@@ -29,7 +30,8 @@ Each formula after the Gram is written once, as array code over groups:
 ``_within_functionals`` turns every group's aggregates into its four
 functionals, and ``_denominator_terms`` forms the per-group B and E
 brackets and the between-group B sum of the degrees-of-freedom
-denominators. ``dof_estimates`` clamps the brackets at zero;
+denominators. ``_dof`` clamps the brackets at zero, and ``dof_estimates``
+(design, preparation and ``_dof``) spreads its result over all k groups;
 ``true_dof`` evaluates the same terms from known separable covariance
 structures, unclamped, as the ground truth for simulation tests.
 """
@@ -37,7 +39,7 @@ structures, unclamped, as the ground truth for simulation tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,7 +50,15 @@ from .errors import (
     InsufficientReplicationError,
     ValidationError,
 )
-from .glht import ContrastSpec, GlhtMatrices, build_glht
+from .glht import (
+    ContrastSpec,
+    GlhtMatrices,
+    _cross_scale,
+    _Design,
+    _design,
+    _off_diagonal_weights,
+    _prepare,
+)
 from .grid import QuadWeights
 from .moments import OmegaHat, _centered_weighted, omega_hat
 
@@ -108,9 +118,17 @@ def _require_replication(sizes: tuple[int, ...], groups) -> None:
             )
 
 
+def _test_design(spec: ContrastSpec, sizes: tuple[int, ...], w: QuadWeights, p: int) -> _Design:
+    """The design of a test that estimates its degrees of freedom: ``_design``'s
+    checks, and n >= 4 in every group."""
+    design = _design(spec, sizes, w, p)
+    _require_replication(design.sizes, range(len(sizes)))
+    return design
+
+
 def _standardized_gram(ds: FunctionalDataset, groups, omega: OmegaHat, w: QuadWeights):
     """Upper triangle of the Gram of the prepared curves of ``groups`` under ``omega``."""
-    _, curves = _centered_weighted(ds, w, groups)
+    _, curves = _centered_weighted([ds.group_values(i) for i in groups], np.sqrt(w.weights))
     return _kernels.gram_upper((omega.inv_sqrt @ curves).reshape(-1, ds.m))
 
 
@@ -130,35 +148,98 @@ def _within_functionals(scalars: np.ndarray, n: np.ndarray) -> np.ndarray:
     # Each functional's 2- and 3-index sums read its own complete sum; the
     # 4-distinct-index expansion is shared, because relabeling distinct
     # tuples is a bijection.
-    own = np.stack([i_d2, i_f2x, i_f2])
+    own = np.array([i_d2, i_f2x, i_f2])
     t4 = i_d2 + i_f2 + i_f2x - 6 * i_e2
     i_hat, t_hat, tr2_hat = (own - i_e2) / d2 + 2 * (own - 2 * i_e2) / d3 + t4 / d4
     k4 = i_e2 / (n - 1) - tr2_hat - i_hat - t_hat
-    return np.stack([i_hat, t_hat, tr2_hat, k4])
+    return np.array([i_hat, t_hat, tr2_hat, k4])
 
 
-def _denominator_terms(hn: np.ndarray, n: np.ndarray, k4: np.ndarray, it: np.ndarray):
+def _denominator_terms(off: np.ndarray, n: np.ndarray, k4: np.ndarray, it: np.ndarray):
     """The pieces of both degrees-of-freedom denominators.
 
     ``it`` is the k x k matrix of I + T functionals: within-group on the
-    diagonal, between-group off it. Returns the per-group B and E brackets
+    diagonal, between-group off it; ``off`` holds the between-group weights
+    (``glht._off_diagonal_weights``). Returns the per-group B and E brackets
     as the rows of a (2, k) array, and the summed off-diagonal B terms.
     Each denominator is sum_i hn_ii^2 bracket_i, plus the off-diagonal sum
     for B; each bracket estimates a variance, which the estimator clamps at
     zero and the true-parameter formula does not.
     """
-    it_diag = np.diag(it)
+    it_diag = it.diagonal()
     kurt = k4 / n**3
-    brackets = np.stack([kurt + it_diag / n**2, kurt + it_diag / (n**2 * (n - 1))])
-    off = hn**2 * it / np.outer(n, n)
-    np.fill_diagonal(off, 0.0)
-    return brackets, float(off.sum())
+    brackets = np.array([kurt + it_diag / n**2, kurt + it_diag / (n**2 * (n - 1))])
+    return brackets, float(np.vdot(off, it))
 
 
-def _cross_from_block(block: np.ndarray, n1: int, n2: int, p: int) -> tuple[float, float]:
-    i_val, t_val = _kernels.pair_trace_integrals(block, p)
-    scale = 1.0 / ((n1 - 1) * (n2 - 1))
-    return i_val * scale, t_val * scale
+class _Dof(NamedTuple):
+    """One dataset's degrees of freedom and the touched groups' functionals:
+    (4, t) within rows, t x t I and T cross matrices, (2, t) brackets."""
+
+    d_b: float
+    d_e: float
+    functionals: np.ndarray
+    i_cross: np.ndarray
+    t_cross: np.ndarray
+    brackets: np.ndarray
+
+
+def _dof(design: _Design, curves: np.ndarray) -> _Dof:
+    """The degrees of freedom from one Gram of the standardized curves of the
+    touched groups; ``DegenerateDofError`` when a clamped denominator is not
+    positive."""
+    p, rows = design.p, design.rows
+    gram = _kernels.gram_upper(curves.reshape(-1, design.m))
+    scalars = np.array(
+        [
+            _kernels.within_group_scalars(_kernels.symmetric_block(gram, r.start, r.stop), p)
+            for r in rows
+        ]
+    )
+    functionals = _within_functionals(scalars, design.n)
+    # The I and T matrices: between-group terms off the diagonal, within on it.
+    cross = np.zeros((2, len(rows), len(rows)))
+    for a, b in design.pairs:
+        cross[:, a, b] = _kernels.pair_trace_integrals(gram[rows[a], rows[b]], p)
+    cross *= design.cross_scale
+    cross += cross.transpose(0, 2, 1)
+    diag = np.arange(len(rows))
+    cross[:, diag, diag] = functionals[:2]
+    i_cross, t_cross = cross
+
+    brackets, off_sum = _denominator_terms(design.off_weights, design.n, functionals[3],
+                                           i_cross + t_cross)
+    db_denom, de_denom = np.maximum(brackets, 0.0) @ design.h2 + (off_sum, 0.0)
+    if db_denom <= 0 or de_denom <= 0:
+        raise DegenerateDofError(
+            "degrees-of-freedom denominator is nonpositive after clamping; "
+            "the data carry no usable variation"
+        )
+    scale = p * (p + 1)
+    return _Dof(float(scale / db_denom), float(scale / de_denom), functionals, i_cross,
+                t_cross, brackets)
+
+
+def _dof_estimate(design: _Design, dof: _Dof) -> DofEstimate:
+    """``dof`` spread over all k groups; an untouched group's entries are never computed."""
+    k = len(design.sizes)
+    touched = design.touched
+    within = np.full((4, k), np.nan)
+    within[:, touched] = dof.functionals
+    cross = np.full((2, k, k), np.nan)
+    cross[:, touched[:, None], touched] = dof.i_cross, dof.t_cross
+    clamped = np.zeros((2, k), dtype=bool)
+    clamped[:, touched] = dof.brackets < 0
+    clamped_b, clamped_e = (tuple(flags) for flags in clamped.tolist())
+    return DofEstimate(
+        d_b=dof.d_b,
+        d_e=dof.d_e,
+        within=tuple(WithinGroupUStats(*group) for group in within.T.tolist()),
+        i_cross=cross[0],
+        t_cross=cross[1],
+        clamped_b=clamped_b,
+        clamped_e=clamped_e,
+    )
 
 
 def ustat_within_fast(
@@ -217,7 +298,9 @@ def cross_terms(
             )
     split = ds.n[i1] * ds.p
     gram = _standardized_gram(ds, (i1, i2), omega, w)
-    return _cross_from_block(gram[:split, split:], ds.n[i1], ds.n[i2], ds.p)
+    i_val, t_val = _kernels.pair_trace_integrals(gram[:split, split:], ds.p)
+    scale = _cross_scale(np.array([ds.n[i1], ds.n[i2]], dtype=np.float64))[0, 1]
+    return i_val * scale, t_val * scale
 
 
 def dof_estimates(
@@ -229,62 +312,23 @@ def dof_estimates(
     """Estimated degrees of freedom for the hypothesis and error matrices.
 
     Every group and pair the hypothesis weighs reads its blocks of one Gram
-    of the curves that ``build_glht`` standardized; every group must still
-    have n >= 4. Each group's bracketed denominator contribution estimates a
-    variance and is clamped at zero from below; clamping is reported per
-    group in the result's diagnostics.
+    of the curves that ``build_glht`` standardized; a ``glht`` passed in
+    must come from the same contrast (up to reparameterization) and group
+    sizes. Every group must still have n >= 4. Each group's bracketed
+    denominator contribution estimates a variance and is clamped at zero
+    from below; clamping is reported per group in the result's diagnostics.
     """
-    _require_replication(ds.n, range(ds.k))
+    design = _test_design(spec, ds.n, w, ds.p)
     if glht is None:
-        glht = build_glht(ds, spec, w)
-    touched = np.array(glht.touched)
-    sizes = [ds.n[i] for i in glht.touched]
-    p = ds.p
-    n = np.asarray(sizes, dtype=np.float64)
-    hn = glht.hn[touched][:, touched]
-    gram = _kernels.gram_upper(glht.standardized.reshape(-1, ds.m))
-    bounds = p * np.cumsum([0, *sizes])
-    rows = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-
-    scalars = np.array(
-        [
-            _kernels.within_group_scalars(_kernels.symmetric_block(gram, r.start, r.stop), p)
-            for r in rows
-        ]
-    )
-    functionals = _within_functionals(scalars, n)
-    i_cross = np.diag(functionals[0])
-    t_cross = np.diag(functionals[1])
-    for (i1, r1), (i2, r2) in combinations(enumerate(rows), 2):
-        iv, tv = _cross_from_block(gram[r1, r2], sizes[i1], sizes[i2], p)
-        i_cross[i1, i2] = i_cross[i2, i1] = iv
-        t_cross[i1, i2] = t_cross[i2, i1] = tv
-
-    brackets, off_sum = _denominator_terms(hn, n, functionals[3], i_cross + t_cross)
-    db_denom, de_denom = np.maximum(brackets, 0.0) @ np.diag(hn) ** 2 + (off_sum, 0.0)
-    if db_denom <= 0 or de_denom <= 0:
-        raise DegenerateDofError(
-            "degrees-of-freedom denominator is nonpositive after clamping; "
-            "the data carry no usable variation"
-        )
-    # Spread over all k groups; an untouched group's entries are never computed.
-    k = ds.k
-    within = np.full((4, k), np.nan)
-    within[:, touched] = functionals
-    cross = np.full((2, k, k), np.nan)
-    cross[:, touched[:, None], touched] = i_cross, t_cross
-    clamped = np.zeros((2, k), dtype=bool)
-    clamped[:, touched] = brackets < 0
-    clamped_b, clamped_e = (tuple(flags) for flags in clamped.tolist())
-    return DofEstimate(
-        d_b=float(p * (p + 1) / db_denom),
-        d_e=float(p * (p + 1) / de_denom),
-        within=tuple(WithinGroupUStats(*group) for group in within.T.tolist()),
-        i_cross=cross[0],
-        t_cross=cross[1],
-        clamped_b=clamped_b,
-        clamped_e=clamped_e,
-    )
+        curves = _prepare(design, [ds.group_values(i) for i in design.touched])[2]
+    elif glht.hn.shape != design.hn.shape or not np.allclose(
+        glht.hn, design.hn, rtol=1e-9, atol=1e-12
+    ):
+        # The weights come from spec and the curves from glht: they must agree.
+        raise ValidationError("glht was built for another contrast or other group sizes")
+    else:
+        curves = glht.standardized
+    return _dof_estimate(design, _dof(design, curves))
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +432,7 @@ def true_dof(
     if k4.size != k:
         raise ValidationError("kurtosis must supply one value per group")
 
-    brackets, off_sum = _denominator_terms(hn, n, k4, i_star + t_star)
+    brackets, off_sum = _denominator_terms(_off_diagonal_weights(hn, n), n, k4, i_star + t_star)
     db_denom, de_denom = brackets @ h_diag**2 + (off_sum, 0.0)
     if db_denom <= 0 or de_denom <= 0:
         raise DegenerateDofError("true-parameter DoF denominator is nonpositive")

@@ -4,8 +4,18 @@ Scaling the hypothesis and error variation matrices by their estimated
 degrees of freedom yields two approximately Wishart matrices M1 and M2.
 The Wilks, Lawley-Hotelling, and Pillai functionals of (M1, M2) are
 functions of the eigenvalues of M2^{-1} M1, taken from one generalized
-symmetric eigenproblem. Each is then mapped to an F statistic with
-(possibly fractional) degrees of freedom.
+symmetric eigenproblem solved with numpy alone: a Cholesky factor L of M2
+(scaled to unit diagonal) and the spectrum of L^{-1} M1 L^{-T}. Each is
+then mapped to an F statistic with (possibly fractional) degrees of
+freedom.
+
+A test is the design of its contrast and group sizes (``glht._design``),
+built once, and a per-dataset pass: ``_dof_and_statistics`` (the
+preparation, the one Gram, the degrees of freedom and theta), then
+``_f_tests`` (the three F approximations, p-values and diagnostic flags).
+The pass returns plain floats, arrays and flags; ``run_glht`` wraps them in
+a ``TestReport``, and a Monte Carlo study reads its decisions and flags
+directly.
 """
 
 from __future__ import annotations
@@ -15,19 +25,18 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 from scipy.special import betainc
 
 from .dataset import FunctionalDataset
-from .dof import DofEstimate, dof_estimates
+from .dof import DofEstimate, _Dof, _dof, _dof_estimate, _test_design
 from .errors import (
     ApproximationUndefinedError,
     InputError,
     SingularErrorMatrixError,
     ValidationError,
 )
-from .glht import ContrastSpec, build_glht
-from .grid import QuadWeights, quad_weights
+from .glht import ContrastSpec, _Design, _prepare
+from .grid import quad_weights
 
 __all__ = [
     "TestStatistics",
@@ -135,45 +144,63 @@ class TestReport:
         return json.dumps(self.to_dict(), indent=indent)
 
 
+def _theta(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of M2^{-1} M1 for finite symmetric M1 and M2.
+
+    Both are scaled to M2's unit diagonal first, which leaves the
+    eigenvalues unchanged. The scaled M2 must pass the eigenvalue-ratio test
+    and have a Cholesky factor L; theta is then the spectrum of the
+    symmetric L^{-1} M1 L^{-T}.
+    """
+    if not (np.isfinite(m1).all() and np.isfinite(m2).all()):
+        raise ValidationError("M1 and M2 must be finite")
+    diag = m2.diagonal()
+    if (diag <= 0).any():
+        raise SingularErrorMatrixError("error matrix M2 is not positive definite")
+    scale = 1.0 / np.sqrt(diag)
+    outer = scale[:, None] * scale
+    m2_unit = m2 * outer
+    eig = np.linalg.eigvalsh(m2_unit)
+    if eig[0] <= M2_REL_TOL * eig[-1]:
+        raise SingularErrorMatrixError("error matrix M2 is numerically singular")
+    try:
+        low = np.linalg.cholesky(m2_unit)
+    except np.linalg.LinAlgError as exc:
+        raise SingularErrorMatrixError("error matrix M2 is not positive definite") from exc
+    low_inv = np.linalg.inv(low)
+    theta = np.linalg.eigvalsh(low_inv @ (m1 * outer) @ low_inv.T)
+    # By Sylvester's law of inertia theta has the signs of M1's eigenvalues.
+    if theta[0] < -1e-8 * max(1.0, np.abs(theta).max()):
+        raise ValidationError("M1 must be positive semidefinite")
+    return theta
+
+
+def _functionals(theta: np.ndarray) -> tuple[float, float, float]:
+    """Wilks, Lawley-Hotelling and Pillai from the eigenvalues of M2^{-1} M1."""
+    return (
+        float((1.0 / (1.0 + theta)).prod()),
+        float(theta.sum()),
+        float((theta / (1.0 + theta)).sum()),
+    )
+
+
 def statistics(m1: np.ndarray, m2: np.ndarray) -> TestStatistics:
     """Wilks, Lawley-Hotelling, and Pillai functionals of (M1, M2).
 
-    All three are functions of the eigenvalues theta of M2^{-1} M1, taken
-    from one generalized symmetric eigenproblem: Wilks is prod 1/(1 + theta),
-    Lawley-Hotelling sum theta, Pillai sum theta/(1 + theta). The solver
-    factors M2 first, so an error matrix that is not positive definite fails
+    All three are functions of the eigenvalues theta of M2^{-1} M1, one
+    generalized symmetric eigenproblem solved with numpy alone: Wilks is
+    prod 1/(1 + theta), Lawley-Hotelling sum theta, Pillai sum
+    theta/(1 + theta). An error matrix that is not positive definite fails
     fast, as does one singular to working precision once scaled to unit
-    diagonal; by Sylvester's law of inertia theta has the signs of M1's
-    eigenvalues, so a negative theta means M1 is not positive semidefinite.
+    diagonal; a negative theta means M1 is not positive semidefinite.
     """
     m1 = np.asarray(m1, dtype=np.float64)
     m2 = np.asarray(m2, dtype=np.float64)
     if m1.shape != m2.shape or m1.ndim != 2 or m1.shape[0] != m1.shape[1]:
         raise ValidationError("M1 and M2 must be square matrices of equal size")
-    if not (np.all(np.isfinite(m1)) and np.all(np.isfinite(m2))):
-        raise ValidationError("M1 and M2 must be finite")
     m1 = (m1 + m1.T) / 2.0
     m2 = (m2 + m2.T) / 2.0
-    diag = np.diag(m2)
-    if np.any(diag <= 0):
-        raise SingularErrorMatrixError("error matrix M2 is not positive definite")
-    scale = 1.0 / np.sqrt(diag)
-    eig = np.linalg.eigvalsh(m2 * scale[:, None] * scale)
-    if eig[0] <= M2_REL_TOL * eig[-1]:
-        raise SingularErrorMatrixError("error matrix M2 is numerically singular")
-    try:
-        theta = scipy.linalg.eigh(m1, m2, eigvals_only=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularErrorMatrixError("error matrix M2 is not positive definite") from exc
-    if theta[0] < -1e-8 * max(1.0, np.abs(theta).max()):
-        raise ValidationError("M1 must be positive semidefinite")
-    return TestStatistics(
-        mfw=float(np.prod(1.0 / (1.0 + theta))),
-        mflh=float(theta.sum()),
-        mfp=float(np.sum(theta / (1.0 + theta))),
-        m1=m1,
-        m2=m2,
-    )
+    return TestStatistics(*_functionals(_theta(m1, m2)), m1=m1, m2=m2)
 
 
 def _check_args(stat: float, df1: float, df2: float, error: type) -> None:
@@ -313,14 +340,34 @@ def f_approx_mfp(t: float, p: int, d_b: float, d_e: float) -> FApprox:
     )
 
 
-def _dof_and_statistics(
-    ds: FunctionalDataset, spec: ContrastSpec, w: QuadWeights
-) -> tuple[DofEstimate, TestStatistics]:
-    """The estimated degrees of freedom and the three statistics of the
-    DoF-scaled hypothesis and error matrices."""
-    glht = build_glht(ds, spec, w)
-    dof = dof_estimates(ds, spec, w, glht=glht)
-    return dof, statistics(dof.d_b * glht.bn, dof.d_e * glht.en)
+def _dof_and_statistics(design: _Design, values) -> tuple[_Dof, np.ndarray, np.ndarray, np.ndarray]:
+    """The per-dataset pass up to the statistics, for the touched groups'
+    curves ``values``: the degrees of freedom, the DoF-scaled hypothesis and
+    error matrices M1 and M2, and the eigenvalues of M2^{-1} M1."""
+    bn, omega, curves = _prepare(design, values)
+    dof = _dof(design, curves)
+    m1 = dof.d_b * bn
+    m2 = dof.d_e * omega.omega
+    return dof, m1, m2, _theta(m1, m2)
+
+
+def _f_tests(functionals: tuple[float, float, float], p: int,
+             dof: _Dof) -> tuple[dict, dict, dict]:
+    """The F approximations of (mfw, mflh, mfp), their p-values, and the
+    diagnostic flags of the degrees of freedom and the approximations."""
+    mfw, mflh, mfp = functionals
+    approx = {
+        "mfw": f_approx_mfw(mfw, p, dof.d_b, dof.d_e),
+        "mflh": f_approx_mflh(mflh, p, dof.d_b, dof.d_e),
+        "mfp": f_approx_mfp(mfp, p, dof.d_b, dof.d_e),
+    }
+    p_values = {name: f_sf(fa.f_stat, fa.df1, fa.df2) for name, fa in approx.items()}
+    diagnostics = {
+        "dof_clamped": bool((dof.brackets < 0).any()),
+        "mflh_pole_fallback": approx["mflh"].pole_fallback,
+        "mfw_theta_fallback": approx["mfw"].pole_fallback,
+    }
+    return approx, p_values, diagnostics
 
 
 def run_glht(
@@ -331,27 +378,18 @@ def run_glht(
     """Run all three tests end to end on one dataset and contrast."""
     if not (0.0 < alpha < 1.0):
         raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
-    dof, stats = _dof_and_statistics(ds, spec, quad_weights(ds.grid))
-    p = ds.p
-    approx = {
-        "mfw": f_approx_mfw(stats.mfw, p, dof.d_b, dof.d_e),
-        "mflh": f_approx_mflh(stats.mflh, p, dof.d_b, dof.d_e),
-        "mfp": f_approx_mfp(stats.mfp, p, dof.d_b, dof.d_e),
-    }
-    p_values = {
-        name: f_sf(fa.f_stat, fa.df1, fa.df2) for name, fa in approx.items()
-    }
+    design = _test_design(spec, ds.n, quad_weights(ds.grid), ds.p)
+    dof, m1, m2, theta = _dof_and_statistics(
+        design, [ds.group_values(i) for i in design.touched]
+    )
+    functionals = _functionals(theta)
+    approx, p_values, diagnostics = _f_tests(functionals, ds.p, dof)
     decisions = {name: bool(p_values[name] < alpha) for name in approx}
-    diagnostics = {
-        "dof_clamped": dof.any_clamped,
-        "mflh_pole_fallback": approx["mflh"].pole_fallback,
-        "mfw_theta_fallback": approx["mfw"].pole_fallback,
-    }
     return TestReport(
-        statistics=stats,
+        statistics=TestStatistics(*functionals, m1=m1, m2=m2),
         approx=approx,
         p_values=p_values,
-        dof=dof,
+        dof=_dof_estimate(design, dof),
         alpha=float(alpha),
         decisions=decisions,
         diagnostics=diagnostics,

@@ -7,14 +7,20 @@ hypothesis variation matrix B (an integrated quadratic form in the
 contrasted group means), and the error variation matrix E (the pooled
 integrated covariance), whose expectations match under the null.
 
-A group whose column of C is zero has zero weight in H, B and E, so
-``build_glht`` prepares only the curves of the groups C touches: one Gram
-of the curves the hypothesis weighs is all the degrees of freedom read.
+Everything that depends only on (C, C0), the group sizes, the grid and p
+is the test's design (``_design``), built once and shared by every dataset
+of that shape: H, the factor of C D C^T that B applies, the touched groups
+and the weights the degrees of freedom read. A group whose column of C is
+zero has zero weight in H, B and E, so the one preparation pass over a
+dataset (``_prepare``) reads only the curves of the groups C touches: one
+Gram of the curves the hypothesis weighs is all the degrees of freedom
+read. ``build_glht`` is the design and that pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 import scipy.linalg
@@ -26,10 +32,10 @@ from .moments import (
     MeanFunctions,
     OmegaHat,
     _centered_weighted,
-    _integrated_cov,
+    _integrated_covs,
+    _omega,
     _pooled,
     _require_covariance,
-    omega_hat,
 )
 
 __all__ = [
@@ -116,55 +122,165 @@ def oneway_contrast(k: int) -> ContrastSpec:
     return ContrastSpec(np.hstack([np.eye(k - 1), -np.ones((k - 1, 1))]))
 
 
-def _gram_cho_factor(c: np.ndarray, n) -> tuple:
+def _cholesky_cdc(c: np.ndarray, n) -> np.ndarray:
+    """Lower Cholesky factor L of C D C^T with D = diag(1/n_i)."""
     n = np.asarray(n, dtype=np.float64)
     if np.any(n < 1):
         raise ValidationError("group sizes must be >= 1")
     gram = (c / n) @ c.T
-    return scipy.linalg.cho_factor((gram + gram.T) / 2.0, lower=True)
+    return np.linalg.cholesky((gram + gram.T) / 2.0)
 
 
-def _hn_from_factor(c: np.ndarray, cho: tuple) -> np.ndarray:
-    hn = c.T @ scipy.linalg.cho_solve(cho, c)
-    return (hn + hn.T) / 2.0
+def _whiten(low: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """L^{-1} x for a lower Cholesky factor L: with F = L^{-1} C, H = F^T F and
+    B weighs the contrasted mean curves through F."""
+    return scipy.linalg.solve_triangular(low, x, lower=True, check_finite=False)
+
+
+def _c0_offset(low: np.ndarray, c0: np.ndarray | None, p: int, m: int) -> np.ndarray | None:
+    """L^{-1} C0 as a (q, p*m) array, or None without C0."""
+    if c0 is None:
+        return None
+    q = low.shape[0]
+    if c0.shape != (q, p, m):
+        raise ValidationError(f"C0 shape {c0.shape} does not match (q={q}, p={p}, m={m})")
+    return _whiten(low, c0.reshape(q, p * m))
 
 
 def hn_matrix(c: np.ndarray, n) -> np.ndarray:
     """Weighting matrix C^T (C D C^T)^{-1} C with D = diag(1/n_i); k x k PSD."""
     spec = c if isinstance(c, ContrastSpec) else ContrastSpec(c)
-    return _hn_from_factor(spec.c, _gram_cho_factor(spec.c, n))
+    f = _whiten(_cholesky_cdc(spec.c, n), spec.c)
+    return f.T @ f
 
 
-def _bn_from_factor(
-    means: MeanFunctions, c: np.ndarray, c0: np.ndarray | None, w: QuadWeights, cho: tuple
-) -> np.ndarray:
-    """B from the means of the groups that ``c``'s columns weigh, one column each."""
-    _, p, m = means.means.shape
-    q = c.shape[0]
-    resid = np.einsum("qk,kpm->qpm", c, means.means)
-    if c0 is not None:
-        if c0.shape != (q, p, m):
-            raise ValidationError(f"C0 shape {c0.shape} does not match (q={q}, p={p}, m={m})")
-        resid = resid - c0
-    solved = scipy.linalg.cho_solve(cho, resid.reshape(q, -1)).reshape(resid.shape)
-    bn = np.einsum("qpt,qot,t->po", resid, solved, w.weights)
-    return (bn + bn.T) / 2.0
+def _bn(means: np.ndarray, factor: np.ndarray, offset: np.ndarray | None,
+        sqrt_w: np.ndarray) -> np.ndarray:
+    """B from the (t, p, m) means of the groups that ``factor``'s t columns weigh:
+    the sum over rows and time of the outer products of the residual curves
+    L^{-1} (C M(t) - C0(t)), each scaled by sqrt(w)."""
+    _, p, m = means.shape
+    resid = factor @ means.reshape(len(means), p * m)
+    if offset is not None:
+        resid -= offset
+    resid = resid.reshape(-1, p, m)
+    resid *= sqrt_w
+    # (p, q m) rows, so one product a @ a.T (exactly symmetric) sums over rows and time.
+    rows = resid.transpose(1, 0, 2).reshape(p, -1)
+    return rows @ rows.T
 
 
 def b_matrix(
     means: MeanFunctions, spec: ContrastSpec, w: QuadWeights, n
 ) -> np.ndarray:
     """Hypothesis variation matrix: integrated quadratic form in C M(t) - C0(t)."""
-    k = means.means.shape[0]
+    k, p, m = means.means.shape
     if spec.k != k:
         raise ValidationError(f"contrast has {spec.k} columns but dataset has {k} groups")
-    return _bn_from_factor(means, spec.c, spec.c0, w, _gram_cho_factor(spec.c, n))
+    low = _cholesky_cdc(spec.c, n)
+    return _bn(means.means, _whiten(low, spec.c), _c0_offset(low, spec.c0, p, m),
+               np.sqrt(w.weights))
 
 
 def e_matrix(sigmas, hn: np.ndarray, n) -> np.ndarray:
     """Error variation matrix: sum_i h_ii sigma_i / n_i (equals the pooled matrix)."""
     h_diag = np.diag(np.asarray(hn, dtype=np.float64))
-    return _pooled(sigmas, h_diag, np.asarray(n, dtype=np.float64))
+    return _pooled(np.asarray(sigmas, dtype=np.float64), h_diag / np.asarray(n, dtype=np.float64))
+
+
+def _off_diagonal_weights(hn: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """hn_ij^2 / (n_i n_j) off the diagonal and zero on it: the weights of the
+    between-group terms of the hypothesis degrees-of-freedom denominator."""
+    off = hn**2 / np.outer(n, n)
+    np.fill_diagonal(off, 0.0)
+    return off
+
+
+def _cross_scale(n: np.ndarray) -> np.ndarray:
+    """1 / ((n_i - 1)(n_j - 1)): the plug-in covariances' normalization of the
+    between-group trace functionals."""
+    return 1.0 / np.outer(n - 1, n - 1)
+
+
+@dataclass(frozen=True)
+class _Design:
+    """Everything a test reads that depends only on (C, C0), the group sizes,
+    the grid and p: built once, then shared by every dataset of that shape.
+
+    Per-group arrays run over the touched groups, those with a nonzero
+    column of C (exactly those with h_ii > 0), in order.
+    """
+
+    sizes: tuple[int, ...]  # every group's n_i, touched or not
+    p: int
+    m: int
+    sqrt_w: np.ndarray  # square roots of the quadrature weights
+    hn: np.ndarray  # H, k x k
+    touched: np.ndarray
+    n: np.ndarray  # the touched groups' sizes, as floats
+    b_factor: np.ndarray  # the touched columns of F = L^{-1} C
+    b_offset: np.ndarray | None  # L^{-1} C0, (q, p*m)
+    starts: np.ndarray  # each touched group's first prepared curve
+    curves: tuple[slice, ...]  # each touched group's prepared curves
+    omega_weights: np.ndarray  # h_ii / n_i
+    rows: tuple[slice, ...]  # each touched group's rows of the Gram
+    pairs: tuple[tuple[int, int], ...]  # touched pairs (a < b)
+    cross_scale: np.ndarray
+    off_weights: np.ndarray
+    h2: np.ndarray  # h_ii^2
+
+
+def _design(spec: ContrastSpec, sizes: tuple[int, ...], w: QuadWeights, p: int) -> _Design:
+    """The design of a test of ``spec`` on groups of ``sizes`` curves with p
+    components on ``w``'s grid; checks that C has one column per group, that
+    C0 has the curves' shape and that every group has n >= 2."""
+    if spec.k != len(sizes):
+        raise ValidationError(f"contrast has {spec.k} columns but dataset has {len(sizes)} groups")
+    m = w.weights.size
+    low = _cholesky_cdc(spec.c, sizes)  # the one factor of C D C^T that H and B share
+    f = _whiten(low, spec.c)
+    hn = f.T @ f
+    offset = _c0_offset(low, spec.c0, p, m)
+    _require_covariance(sizes, range(len(sizes)))
+    touched = np.flatnonzero(np.any(spec.c != 0, axis=0))
+    n = np.array([sizes[i] for i in touched], dtype=np.float64)
+    h_t = hn[np.ix_(touched, touched)]
+    h_diag = np.diag(h_t)
+    bounds = np.cumsum([0, *n.astype(np.intp)])
+    return _Design(
+        sizes=tuple(sizes),
+        p=p,
+        m=m,
+        sqrt_w=np.sqrt(w.weights),  # real: QuadWeights are nonnegative
+        hn=hn,
+        touched=touched,
+        n=n,
+        b_factor=f[:, touched],
+        b_offset=offset,
+        starts=bounds[:-1],
+        curves=tuple(slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])),
+        omega_weights=h_diag / n,
+        rows=tuple(slice(p * lo, p * hi) for lo, hi in zip(bounds[:-1], bounds[1:])),
+        pairs=tuple(combinations(range(len(touched)), 2)),
+        cross_scale=_cross_scale(n),
+        off_weights=_off_diagonal_weights(h_t, n),
+        h2=h_diag**2,
+    )
+
+
+def _prepare(design: _Design, values) -> tuple[np.ndarray, OmegaHat, np.ndarray]:
+    """The one preparation pass over the touched groups' curves ``values``:
+    B, the pooled matrix, and the curves centered by group, scaled by
+    sqrt(w) and standardized in place (read-only, shape (N, p, m))."""
+    means, curves = _centered_weighted(values, design.sqrt_w)
+    bn = _bn(means, design.b_factor, design.b_offset, design.sqrt_w)
+    sigmas = _integrated_covs(curves, design.starts, design.n)
+    omega = _omega(_pooled(sigmas, design.omega_weights))
+    # Group by group: matmul copies an operand that overlaps its output.
+    for rows in design.curves:
+        np.matmul(omega.inv_sqrt, curves[rows], out=curves[rows])
+    curves.flags.writeable = False
+    return bn, omega, curves
 
 
 def build_glht(ds: FunctionalDataset, spec: ContrastSpec, w: QuadWeights) -> GlhtMatrices:
@@ -176,24 +292,11 @@ def build_glht(ds: FunctionalDataset, spec: ContrastSpec, w: QuadWeights) -> Glh
     centered curves; the pooled inverse square root then standardizes those
     curves in place. Every group's size is still checked, read or not.
     """
-    if spec.k != ds.k:
-        raise ValidationError(f"contrast has {spec.k} columns but dataset has {ds.k} groups")
-    n = np.asarray(ds.n)
-    touched = np.flatnonzero(np.any(spec.c != 0, axis=0))
-    cho = _gram_cho_factor(spec.c, n)  # the one factor of C D C^T that H and B share
-    hn = _hn_from_factor(spec.c, cho)
-    means, curves = _centered_weighted(ds, w, touched)
-    bn = _bn_from_factor(MeanFunctions(means), spec.c[:, touched], spec.c0, w, cho)
-    _require_covariance(ds.n, range(ds.k))
-    groups = np.split(curves, np.cumsum(n[touched])[:-1])
-    sigmas = [_integrated_cov(rows) for rows in groups]
-    omega = omega_hat(sigmas, np.diag(hn)[touched], n[touched])
-    for rows in groups:
-        np.matmul(omega.inv_sqrt, rows, out=rows)
-    curves.flags.writeable = False
+    design = _design(spec, ds.n, w, ds.p)
+    bn, omega, curves = _prepare(design, [ds.group_values(i) for i in design.touched])
     # E equals the pooled matrix term for term, so it is not summed a second time.
-    return GlhtMatrices(hn=hn, bn=bn, en=omega.omega, omega=omega, standardized=curves,
-                        touched=tuple(touched.tolist()))
+    return GlhtMatrices(hn=design.hn, bn=bn, en=omega.omega, omega=omega, standardized=curves,
+                        touched=tuple(design.touched.tolist()))
 
 
 CONTRAST_HEADER = ("row", "col", "value")

@@ -64,16 +64,22 @@ def group_means(ds: FunctionalDataset) -> MeanFunctions:
     return MeanFunctions(np.stack([g.values.mean(axis=0) for g in ds.groups]))
 
 
-def _centered_weighted(ds: FunctionalDataset, w: QuadWeights, groups):
-    """Means of ``groups`` and their curves, centered by group and scaled by
-    sqrt(w), in one (N, p, m) array; centering keeps offsets out of products."""
-    sizes = [ds.n[i] for i in groups]
-    means = np.empty((len(sizes), ds.p, ds.m))
-    curves = np.empty((sum(sizes), ds.p, ds.m))
-    sqrt_w = np.sqrt(w.weights)  # real: QuadWeights are nonnegative
-    for i, mean, rows in zip(groups, means, np.split(curves, np.cumsum(sizes)[:-1])):
-        np.mean(ds.group_values(i), axis=0, out=mean)
-        np.subtract(ds.group_values(i), mean, out=rows)
+def _centered_weighted(values, sqrt_w: np.ndarray):
+    """Means of the groups ``values`` (a sequence of (n_i, p, m) arrays) and
+    their curves, centered by group and scaled by ``sqrt_w``, the square roots
+    of the quadrature weights, in one (N, p, m) array; centering keeps
+    offsets out of products."""
+    _, p, m = values[0].shape
+    means = np.empty((len(values), p, m))
+    curves = np.empty((sum(map(len, values)), p, m))
+    hi = 0
+    for group, mean in zip(values, means):
+        lo, hi = hi, hi + len(group)
+        # np.mean's own two steps, without its Python wrapper.
+        np.add.reduce(group, axis=0, out=mean)
+        mean /= hi - lo
+        rows = curves[lo:hi]
+        np.subtract(group, mean, out=rows)
         rows *= sqrt_w
     return means, curves
 
@@ -86,10 +92,13 @@ def _require_covariance(sizes: tuple[int, ...], groups) -> None:
             )
 
 
-def _integrated_cov(curves: np.ndarray) -> np.ndarray:
-    """Integrated covariance from one group's ``_centered_weighted`` curves (n >= 2)."""
-    sigma = np.matmul(curves, curves.transpose(0, 2, 1)).sum(axis=0) / (curves.shape[0] - 1)
-    return (sigma + sigma.T) / 2.0
+def _integrated_covs(curves: np.ndarray, starts: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Integrated covariances, shape (len(n), p, p), from ``_centered_weighted``
+    curves: group g holds the n[g] >= 2 curves from ``starts[g]`` on."""
+    outer = np.matmul(curves, curves.transpose(0, 2, 1))
+    sigmas = np.add.reduceat(outer, starts, axis=0)
+    sigmas /= (n - 1)[:, None, None]
+    return (sigmas + sigmas.transpose(0, 2, 1)) / 2.0
 
 
 def sigma_hat(ds: FunctionalDataset, i: int, w: QuadWeights) -> np.ndarray:
@@ -98,7 +107,19 @@ def sigma_hat(ds: FunctionalDataset, i: int, w: QuadWeights) -> np.ndarray:
     Requires at least two observations in the group.
     """
     _require_covariance(ds.n, (i,))
-    return _integrated_cov(_centered_weighted(ds, w, (i,))[1])
+    _, curves = _centered_weighted([ds.group_values(i)], np.sqrt(w.weights))
+    return _integrated_covs(curves, [0], np.array([ds.n[i]], dtype=np.float64))[0]
+
+
+def _spd_inv_sqrt(sym: np.ndarray, rel_tol: float = PD_REL_TOL) -> np.ndarray:
+    """``inv_sqrt_spd`` of a matrix already known to be square and symmetric."""
+    eigvals, eigvecs = np.linalg.eigh(sym)
+    if eigvals[-1] <= 0 or eigvals[0] <= rel_tol * eigvals[-1]:
+        raise NotPositiveDefiniteError(
+            f"matrix is not positive definite (eigenvalues {eigvals[0]:.3e} .. "
+            f"{eigvals[-1]:.3e}, relative tolerance {rel_tol:g})"
+        )
+    return (eigvecs / np.sqrt(eigvals)) @ eigvecs.T
 
 
 def inv_sqrt_spd(a: np.ndarray, rel_tol: float = PD_REL_TOL) -> np.ndarray:
@@ -113,20 +134,28 @@ def inv_sqrt_spd(a: np.ndarray, rel_tol: float = PD_REL_TOL) -> np.ndarray:
     scale = np.max(np.abs(a)) if a.size else 0.0
     if scale > 0 and np.max(np.abs(a - a.T)) > 1e-10 * scale:
         raise ValidationError("matrix is not symmetric")
-    sym = (a + a.T) / 2.0
-    eigvals, eigvecs = np.linalg.eigh(sym)
-    if eigvals[-1] <= 0 or eigvals[0] <= rel_tol * eigvals[-1]:
-        raise NotPositiveDefiniteError(
-            f"matrix is not positive definite (eigenvalues {eigvals[0]:.3e} .. "
-            f"{eigvals[-1]:.3e}, relative tolerance {rel_tol:g})"
-        )
-    return (eigvecs / np.sqrt(eigvals)) @ eigvecs.T
+    return _spd_inv_sqrt((a + a.T) / 2.0, rel_tol)
 
 
-def _pooled(sigmas, h_diag, n) -> np.ndarray:
-    """The symmetrized sum_i h_ii sigma_i / n_i."""
-    pooled = sum(h * np.asarray(s, dtype=np.float64) / ni for h, s, ni in zip(h_diag, sigmas, n))
+def _pooled(sigmas: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The symmetrized sum_i weights_i sigma_i of a (k, p, p) stack; the
+    pooled matrix has weights h_ii / n_i."""
+    k, p, _ = sigmas.shape
+    pooled = (weights @ sigmas.reshape(k, p * p)).reshape(p, p)
     return (pooled + pooled.T) / 2.0
+
+
+def _omega(omega: np.ndarray) -> OmegaHat:
+    """The pooled matrix with its inverse square root; ``SingularOmegaError``
+    when it is numerically singular."""
+    try:
+        inv_sqrt = _spd_inv_sqrt(omega)
+    except NotPositiveDefiniteError as exc:
+        raise SingularOmegaError(
+            "pooled covariance matrix is numerically singular; collect more "
+            "observations or reduce the number of components"
+        ) from exc
+    return OmegaHat(omega=omega, inv_sqrt=inv_sqrt)
 
 
 def omega_hat(sigmas, h_diag, n) -> OmegaHat:
@@ -137,17 +166,9 @@ def omega_hat(sigmas, h_diag, n) -> OmegaHat:
     """
     h_diag = np.asarray(h_diag, dtype=np.float64)
     n = np.asarray(n)
-    sigmas = [np.asarray(s, dtype=np.float64) for s in sigmas]
+    sigmas = np.asarray(sigmas, dtype=np.float64)
     if not (len(sigmas) == h_diag.size == n.size):
         raise ValidationError("sigmas, h_diag, and n must have the same length")
     if np.any(h_diag < 0) or not np.any(h_diag > 0):
         raise ValidationError("diagonal hypothesis weights must be nonnegative, some positive")
-    omega = _pooled(sigmas, h_diag, n)
-    try:
-        inv_sqrt = inv_sqrt_spd(omega)
-    except NotPositiveDefiniteError as exc:
-        raise SingularOmegaError(
-            "pooled covariance matrix is numerically singular; collect more "
-            "observations or reduce the number of components"
-        ) from exc
-    return OmegaHat(omega=omega, inv_sqrt=inv_sqrt)
+    return _omega(_pooled(sigmas, h_diag / n))

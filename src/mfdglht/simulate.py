@@ -9,12 +9,16 @@ driven by a single seeded normal stream so that every replication is
 exactly reproducible.
 
 A setting's constants (grid, mean curves, basis and variance components)
-are built once per study; a replication pays only for its own
-innovations and one BLAS product per group. ``gen_sample`` is that same
-sampler built and called once, so a study and a one-off draw cannot
-diverge. A study runs its replications in order, and replication ``r``
-of a study with master seed ``s`` always uses the stream seeded by
+are built once per study, and so is the test's design (contrast, group
+sizes, grid and p); a replication pays only for its own innovations, one
+BLAS product per group, and the per-dataset pass that ``run_glht`` runs,
+of which it keeps the decisions and diagnostic flags. ``gen_sample`` is
+that same sampler built and called once, so a study and a one-off draw
+cannot diverge. A study runs its replications in order, and replication
+``r`` of a study with master seed ``s`` always uses the stream seeded by
 ``SeedSequence([s, r])``, so a study is reproducible from its master seed.
+The permutation oracle builds its design once per call and relabels only
+the curves of the groups the hypothesis weighs.
 """
 
 from __future__ import annotations
@@ -26,8 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import FunctionalDataset, GroupSample
+from .dof import _test_design
 from .errors import DegeneracyError, InputError, ValidationError
-from .fstats import STATISTIC_NAMES, _dof_and_statistics, run_glht
+from .fstats import STATISTIC_NAMES, _dof_and_statistics, _f_tests, _functionals
 from .glht import ContrastSpec, oneway_contrast
 from .grid import Grid, make_uniform_grid, quad_weights
 
@@ -158,13 +163,23 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class StudyResult:
-    """Empirical rejection rates of one Monte Carlo setting."""
+    """Empirical rejection rates of one Monte Carlo setting.
+
+    ``errors_by_kind`` counts the errored replications by exception class
+    name. Over the completed replications, ``dof_clamped`` counts those
+    whose degrees-of-freedom brackets were clamped, and ``pole_fallbacks``
+    those whose MFLH and MFW approximations took their fallback branches
+    (``TestReport.diagnostics`` of each replication, counted).
+    """
 
     config: SimConfig
     rejections: dict
     completed: int
     errored: int
     elapsed_seconds: float
+    errors_by_kind: dict
+    dof_clamped: int
+    pole_fallbacks: dict
 
     def rate_percent(self, name: str) -> float:
         if self.completed == 0:
@@ -387,29 +402,45 @@ def size_power_study(cfg: SimConfig) -> StudyResult:
     """Empirical rejection rates over ``cfg.reps`` independent replications.
 
     Replication ``r`` always draws its dataset from
-    ``SeedSequence([cfg.seed, r])``. Replications that fail with a
-    numerical degeneracy are counted as errored and excluded from the rate
+    ``SeedSequence([cfg.seed, r])``. The test's design is built once; each
+    replication runs the same per-dataset pass as ``run_glht`` and keeps its
+    decisions and diagnostic flags. Replications that fail with a numerical
+    degeneracy are counted as errored, by kind, and excluded from the rate
     denominator, never silently dropped.
     """
     spec = cfg.contrast_spec()
     start = time.perf_counter()
     draw = _setting_sampler(cfg)
+    design = _test_design(spec, cfg.n, quad_weights(cfg.grid()), cfg.p)
+    touched = design.touched.tolist()
     rejections = {name: 0 for name in STATISTIC_NAMES}
-    errored = 0
+    errors: dict[str, int] = {}
+    dof_clamped = 0
+    pole_fallbacks = {"mflh": 0, "mfw": 0}
     for rep in range(cfg.reps):
+        groups = draw([cfg.seed, rep]).groups
         try:
-            report = run_glht(draw([cfg.seed, rep]), spec, alpha=cfg.alpha)
-        except DegeneracyError:
-            errored += 1
+            dof, _, _, theta = _dof_and_statistics(design, [groups[i].values for i in touched])
+            _, p_values, flags = _f_tests(_functionals(theta), cfg.p, dof)
+        except DegeneracyError as exc:
+            kind = type(exc).__name__
+            errors[kind] = errors.get(kind, 0) + 1
             continue
         for name in STATISTIC_NAMES:
-            rejections[name] += report.decisions[name]
+            rejections[name] += p_values[name] < cfg.alpha
+        dof_clamped += flags["dof_clamped"]
+        pole_fallbacks["mflh"] += flags["mflh_pole_fallback"]
+        pole_fallbacks["mfw"] += flags["mfw_theta_fallback"]
+    errored = sum(errors.values())
     return StudyResult(
         config=cfg,
         rejections=rejections,
         completed=cfg.reps - errored,
         errored=errored,
         elapsed_seconds=time.perf_counter() - start,
+        errors_by_kind=errors,
+        dof_clamped=dof_clamped,
+        pole_fallbacks=pole_fallbacks,
     )
 
 
@@ -427,10 +458,10 @@ def are_metric(alphas, alpha_nominal: float) -> float:
     return float(100.0 * np.mean(np.abs(alphas - alpha_nominal)) / alpha_nominal)
 
 
-def _evidence(name: str, stats) -> float:
+def _evidence(name: str, stats: tuple[float, float, float]) -> float:
     # All three are compared on a larger-is-stronger-evidence scale; the
     # Wilks statistic rejects for small values, so it enters negated.
-    value = stats.by_name(name)
+    value = stats[STATISTIC_NAMES.index(name)]
     return -value if name == "mfw" else value
 
 
@@ -444,9 +475,12 @@ def permutation_pvalue(
     """Label-permutation p-value for one of the three statistics.
 
     Valid as an exchangeability oracle only under the null with equal
-    covariance functions across groups; requires a pure contrast. The
-    statistic (including its estimated degrees of freedom) is recomputed
-    on every relabeled dataset.
+    covariance functions across groups; requires a pure contrast. Only the
+    curves of the groups the hypothesis weighs (a nonzero column of C) are
+    pooled and relabeled among those groups, so data the hypothesis gives
+    zero weight cannot move the p-value. Relabelings keep the group sizes,
+    so the test's design is built once; the statistic (including its
+    estimated degrees of freedom) is recomputed on every relabeling.
     """
     if statistic not in STATISTIC_NAMES:
         raise InputError(f"statistic must be one of {STATISTIC_NAMES}")
@@ -454,25 +488,19 @@ def permutation_pvalue(
         raise InputError("permutation test requires a pure contrast (C 1_k = 0)")
     if b < 99:
         raise InputError("use at least 99 permutations")
-    w = quad_weights(ds.grid)
+    design = _test_design(spec, ds.n, quad_weights(ds.grid), ds.p)
+    values = [ds.group_values(i) for i in design.touched]
 
-    def stat_value(dataset: FunctionalDataset) -> float:
-        return _evidence(statistic, _dof_and_statistics(dataset, spec, w)[1])
+    def stat_value(groups) -> float:
+        return _evidence(statistic, _functionals(_dof_and_statistics(design, groups)[3]))
 
-    observed = stat_value(ds)
-    pooled = np.concatenate([g.values for g in ds.groups], axis=0)
-    sizes = ds.n
+    observed = stat_value(values)
+    pooled = np.concatenate(values, axis=0)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     exceed = 0
     for _ in range(b):
         order = rng.permutation(pooled.shape[0])
-        groups = []
-        offset = 0
-        for size in sizes:
-            groups.append(GroupSample(pooled[order[offset : offset + size]]))
-            offset += size
-        permuted = FunctionalDataset(ds.grid, tuple(groups))
-        if stat_value(permuted) >= observed:
+        if stat_value([pooled[order[rows]] for rows in design.curves]) >= observed:
             exceed += 1
     return (1.0 + exceed) / (b + 1.0)
 

@@ -144,6 +144,24 @@ def test_cmd_simulate_and_report(tmp_path):
     assert float(first[-1]) == pytest.approx(np.sqrt(rate * (100 - rate) / completed))
 
 
+def test_cmd_simulate_summary_counts_errors_and_flags(tmp_path):
+    # rho = 1e-40 makes the pooled matrix singular in every replication.
+    config = tmp_path / "sim.json"
+    config.write_text(json.dumps({
+        "n": [5, 5, 5, 5], "m": 8, "reps": 3, "seed": 1,
+        "settings": [{"label": "singular", "rho": 1e-40}, {"label": "ok", "rho": 0.5}],
+    }))
+    out = tmp_path / "rates.csv"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+    singular, ok = json.loads((tmp_path / "rates.summary.json").read_text())["settings"]
+    assert singular["errors_by_kind"] == {"SingularOmegaError": 3}
+    assert singular["errored"] == 3 and singular["completed"] == 0
+    assert ok["errors_by_kind"] == {} and ok["completed"] == 3
+    for setting in (singular, ok):
+        assert isinstance(setting["dof_clamped"], int)
+        assert set(setting["pole_fallbacks"]) == {"mflh", "mfw"}
+
+
 def test_cmd_test_with_c0_file(tmp_path):
     data = tmp_path / "data.csv"
     contrast = tmp_path / "c.csv"

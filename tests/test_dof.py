@@ -419,6 +419,20 @@ def test_dof_estimates_match_public_wrappers(case, monkeypatch):
     assert not any(np.array(pooled.clamped_e)[untouched])
 
 
+def test_dof_estimates_rejects_glht_of_another_contrast():
+    # The weights come from the contrast and the curves from glht.
+    rng = np.random.default_rng(46)
+    ds = dataset_from([rng.normal(size=(n, 2, 5)) for n in (5, 6, 7)], m=5)
+    w = quad_weights(ds.grid)
+    glht = build_glht(ds, ContrastSpec(np.array([[1.0, -1.0, 0.0]])), w)
+    with pytest.raises(ValidationError, match="another contrast"):
+        dof_estimates(ds, ContrastSpec(np.array([[1.0, -2.0, 0.0]])), w, glht=glht)
+    # A reparameterized contrast weighs the groups the same way.
+    same = dof_estimates(ds, ContrastSpec(np.array([[2.0, -2.0, 0.0]])), w, glht=glht)
+    want = dof_estimates(ds, ContrastSpec(np.array([[1.0, -1.0, 0.0]])), w)
+    assert same.d_b == pytest.approx(want.d_b, rel=1e-12)
+
+
 def test_curves_are_prepared_once_per_run(monkeypatch):
     rng = np.random.default_rng(44)
     ds = dataset_from([rng.normal(size=(n, 2, 6)) for n in (5, 6, 7)], m=6)

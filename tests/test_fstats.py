@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg
 import scipy.stats
 
 from mfdglht import (
@@ -21,6 +22,7 @@ from mfdglht import (
     run_glht,
     statistics,
 )
+from mfdglht.fstats import _theta
 
 
 def test_statistics_identity_matrices():
@@ -328,6 +330,19 @@ def test_statistics_match_definitions_over_random_pairs():
             assert st.mflh == pytest.approx(np.trace(np.linalg.solve(m2, m1)), rel=1e-10)
             assert st.mfp == pytest.approx(np.trace(np.linalg.solve(m1 + m2, m1)), rel=1e-10)
     assert max(conds) > 1e8
+
+
+def test_theta_matches_scipy_generalized_eigh():
+    # The numpy Cholesky path gives the generalized eigenvalues that
+    # scipy.linalg.eigh(M1, M2) gives, on 200 random SPD pairs.
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        p = int(rng.integers(1, 9))
+        m1, m2 = _random_pair(rng, p, rng.uniform(0.0, 2.0))
+        m1 = m1 + np.eye(p) * rng.uniform(0.0, 1.0) * np.trace(m1) / p  # SPD, not only PSD
+        want = scipy.linalg.eigh(m1, m2, eigvals_only=True)
+        got = _theta(m1, m2)
+        assert np.allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 def test_statistics_rejects_indefinite_m1():

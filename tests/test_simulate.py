@@ -6,6 +6,7 @@ from mfdglht import (
     DegenerateDofError,
     InputError,
     SimConfig,
+    SingularOmegaError,
     ValidationError,
     are_metric,
     basis_functions,
@@ -19,7 +20,10 @@ from mfdglht import (
     sample_curves,
     size_power_study,
 )
+from mfdglht import build_glht, dof_estimates, statistics
+from mfdglht import dof as dof_module
 from mfdglht import simulate
+from mfdglht.dataset import FunctionalDataset, GroupSample
 from mfdglht.fstats import STATISTIC_NAMES
 from mfdglht.glht import ContrastSpec, oneway_contrast
 from mfdglht.simulate import (
@@ -210,29 +214,34 @@ def test_size_power_study_builds_setting_constants_once(monkeypatch):
 
 def test_size_power_study_errored_replication_accounting(monkeypatch):
     seen = []
-    rejections = dict.fromkeys(STATISTIC_NAMES, 0)
+    per_dataset_pass = simulate._dof_and_statistics
 
     def failing_on(errors):
-        def fake_run_glht(ds, spec, alpha):
+        def fake_pass(design, values):
             rep = len(seen)
             seen.append(rep)
             if rep in errors:
                 raise errors[rep](f"forced on replication {rep}")
-            report = run_glht(ds, spec, alpha=alpha)
-            for name in STATISTIC_NAMES:
-                rejections[name] += report.decisions[name]
-            return report
+            return per_dataset_pass(design, values)
 
-        return fake_run_glht
+        return fake_pass
 
-    # Degeneracies are counted as errored and leave the rate denominator.
+    # Degeneracies are counted as errored, by kind, and leave the rate denominator.
     monkeypatch.setattr(
-        simulate, "run_glht", failing_on({1: DegenerateDofError, 4: DegenerateDofError})
+        simulate, "_dof_and_statistics",
+        failing_on({1: DegenerateDofError, 4: SingularOmegaError}),
     )
     res = size_power_study(STUDY_CFG)
     assert seen == list(range(6))
     assert res.errored == 2
     assert res.completed == 4
+    assert res.errors_by_kind == {"DegenerateDofError": 1, "SingularOmegaError": 1}
+    spec = STUDY_CFG.contrast_spec()
+    rejections = dict.fromkeys(STATISTIC_NAMES, 0)
+    for rep in (0, 2, 3, 5):
+        report = run_glht(gen_sample(STUDY_CFG, [STUDY_CFG.seed, rep]), spec)
+        for name in STATISTIC_NAMES:
+            rejections[name] += report.decisions[name]
     assert res.rejections == rejections
     assert any(rejections.values())  # so the denominator shows in the rates
     for name in STATISTIC_NAMES:
@@ -240,10 +249,96 @@ def test_size_power_study_errored_replication_accounting(monkeypatch):
 
     # Any other library error ends the study.
     seen.clear()
-    monkeypatch.setattr(simulate, "run_glht", failing_on({2: InputError}))
+    monkeypatch.setattr(simulate, "_dof_and_statistics", failing_on({2: InputError}))
     with pytest.raises(InputError, match="forced on replication 2"):
         size_power_study(STUDY_CFG)
     assert seen == [0, 1, 2]
+
+
+@pytest.mark.parametrize("contrast", ["oneway", "linear_combo"])
+def test_study_replications_run_the_same_pass_as_run_glht(contrast, monkeypatch):
+    # linear_combo leaves group 3 untouched. The study keeps only each
+    # replication's p-values and flags, and they are run_glht's exactly.
+    cfg = SimConfig(n=(5, 6, 5, 7), m=10, delta=1.5, contrast=contrast, reps=5, seed=12)
+    seen = []
+    f_tests = simulate._f_tests
+
+    def recording(*args):
+        out = f_tests(*args)
+        seen.append(out[1])
+        return out
+
+    monkeypatch.setattr(simulate, "_f_tests", recording)
+    res = size_power_study(cfg)
+    spec = cfg.contrast_spec()
+    reports = [run_glht(gen_sample(cfg, [cfg.seed, rep]), spec, alpha=cfg.alpha)
+               for rep in range(cfg.reps)]
+    assert seen == [report.p_values for report in reports]
+    decisions = [{name: p < cfg.alpha for name, p in p_values.items()} for p_values in seen]
+    assert decisions == [report.decisions for report in reports]
+    for name in STATISTIC_NAMES:
+        assert res.rejections[name] == sum(report.decisions[name] for report in reports)
+    assert res.dof_clamped == sum(report.diagnostics["dof_clamped"] for report in reports)
+
+
+def test_design_is_built_once_per_study_and_per_permutation_call(monkeypatch):
+    calls = []
+    design = dof_module._design
+
+    def counting(*args):
+        calls.append(args)
+        return design(*args)
+
+    monkeypatch.setattr(dof_module, "_design", counting)
+    size_power_study(STUDY_CFG)
+    assert len(calls) == 1
+    calls.clear()
+    ds = gen_sample(STUDY_CFG, [STUDY_CFG.seed, 0])
+    permutation_pvalue(ds, oneway_contrast(4), "mfp", b=99, seed=2)
+    assert len(calls) == 1
+
+
+def test_size_power_study_counts_a_forced_degeneracy():
+    # At rho = 1e-40 the innovations vanish below the rounding of the mean
+    # curves, so the curves of each group coincide wherever the mean is
+    # nonzero and the pooled matrix is singular in every replication.
+    res = size_power_study(SimConfig(n=(5, 5, 5, 5), m=8, rho=1e-40, reps=3, seed=1))
+    assert res.errors_by_kind == {"SingularOmegaError": 3}
+    assert (res.errored, res.completed) == (3, 0)
+    assert res.dof_clamped == 0
+    assert res.pole_fallbacks == {"mflh": 0, "mfw": 0}
+
+
+def _plus_minus_one_draw(seed) -> FunctionalDataset:
+    # Four +-1 curves on four points per group, as in
+    # test_dof.py::test_dof_clamps_negative_brackets: some draws clamp a
+    # variance bracket, others leave no usable variation at all.
+    rng = np.random.default_rng(seed)
+    groups = tuple(GroupSample(rng.choice([-1.0, 1.0], size=(4, 1, 4))) for _ in range(2))
+    return FunctionalDataset(make_uniform_grid(4, 0.0, 1.0), groups)
+
+
+def test_size_power_study_counts_clamps_fallbacks_and_errors(monkeypatch):
+    cfg = SimConfig(n=(4, 4), p=1, m=4, reps=20, seed=7)
+    monkeypatch.setattr(simulate, "_setting_sampler", lambda cfg: _plus_minus_one_draw)
+    res = size_power_study(cfg)
+    spec = cfg.contrast_spec()
+    errors = {}
+    flags = dict.fromkeys(("dof_clamped", "mflh_pole_fallback", "mfw_theta_fallback"), 0)
+    for rep in range(cfg.reps):
+        try:
+            report = run_glht(_plus_minus_one_draw([cfg.seed, rep]), spec, alpha=cfg.alpha)
+        except DegeneracyError as exc:
+            errors[type(exc).__name__] = errors.get(type(exc).__name__, 0) + 1
+            continue
+        for name in flags:
+            flags[name] += report.diagnostics[name]
+    assert errors.get("DegenerateDofError", 0) > 0 and flags["dof_clamped"] > 0
+    assert res.errors_by_kind == errors
+    assert res.errored == sum(errors.values())
+    assert res.dof_clamped == flags["dof_clamped"]
+    assert res.pole_fallbacks == {"mflh": flags["mflh_pole_fallback"],
+                                  "mfw": flags["mfw_theta_fallback"]}
 
 
 def test_are_metric_values():
@@ -288,6 +383,46 @@ def test_permutation_pvalue_shifted_alternative_small():
     ds2 = FunctionalDataset(ds.grid, tuple(GroupSample(g) for g in shifted))
     p = permutation_pvalue(ds2, oneway_contrast(4), "mflh", b=99, seed=1)
     assert p == pytest.approx(1.0 / 100.0)
+
+
+def _dataset(groups) -> FunctionalDataset:
+    return FunctionalDataset(make_uniform_grid(groups[0].shape[2], 0.0, 1.0),
+                             tuple(GroupSample(g) for g in groups))
+
+
+def test_permutation_pvalue_ignores_untouched_groups():
+    # C weighs groups 1 and 4 only: shifting groups 2 and 3 by +-5 must not
+    # move the p-value, since only the touched groups' curves are relabeled.
+    rng = np.random.default_rng(30)
+    groups = [rng.normal(size=(8, 2, 10)) for _ in range(4)]
+    groups[0] = groups[0] + 0.35
+    spec = ContrastSpec(np.array([[1.0, 0.0, 0.0, -1.0]]))
+    base = permutation_pvalue(_dataset(groups), spec, "mfp", b=99, seed=1)
+    shifted = [groups[0], groups[1] + 5.0, groups[2] - 5.0, groups[3]]
+    assert permutation_pvalue(_dataset(shifted), spec, "mfp", b=99, seed=1) == base
+
+
+def test_permutation_pvalue_oneway_relabels_every_group():
+    # A one-way contrast touches every group, so each relabeling permutes all
+    # pooled curves, drawn in order from the seeded stream.
+    cfg = SimConfig(n=(5, 5, 5, 5), p=6, m=12, rho=0.5, model=1, reps=1, seed=6)
+    ds = gen_sample(cfg, [6, 0])
+    spec = oneway_contrast(4)
+    w = quad_weights(ds.grid)
+
+    def mfp(dataset):
+        glht = build_glht(dataset, spec, w)
+        dof = dof_estimates(dataset, spec, w, glht=glht)
+        return statistics(dof.d_b * glht.bn, dof.d_e * glht.en).mfp
+
+    observed = mfp(ds)
+    pooled = np.concatenate([g.values for g in ds.groups])
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(11)))
+    exceed = 0
+    for _ in range(99):
+        relabeled = np.split(pooled[rng.permutation(len(pooled))], np.cumsum(ds.n)[:-1])
+        exceed += mfp(_dataset(relabeled)) >= observed
+    assert permutation_pvalue(ds, spec, "mfp", b=99, seed=11) == (1.0 + exceed) / 100.0
 
 
 def test_config_file_round_trip(tmp_path):
