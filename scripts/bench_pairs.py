@@ -27,6 +27,10 @@ after a warm-up of each (``CALLS`` below): one ``run_glht`` on
 Table 1's model2_n3 setting. The counts are exact and free of timing noise;
 the file keeps them under ``calls``.
 
+Each side's line counts of ``src/mfdglht/*.py``, per file and in total, are
+kept under ``src_lines``, so a change's size comes from the same file as
+its timings.
+
 Last, each side runs the Tier-1 test suite once (``TIER1`` below, with the
 side's ``src`` first on ``PYTHONPATH``); the file keeps its wall time, its
 exit code and its passed/skipped/failed counts under ``tier1``.
@@ -125,6 +129,13 @@ def count_calls(checkout: Path) -> dict:
     return json.loads(done.stdout)
 
 
+def src_lines(checkout: Path) -> dict:
+    """Line counts of ``checkout``'s library modules, per file and in total."""
+    files = {path.name: len(path.read_text(encoding="utf-8").splitlines())
+             for path in sorted((checkout / "src" / "mfdglht").glob("*.py"))}
+    return {"total": sum(files.values()), "files": files}
+
+
 def spread(values: list[float]) -> dict:
     q1, median, q3 = np.percentile(values, [25, 50, 75])
     return {"median": float(median), "q1": float(q1), "q3": float(q3), "runs": values}
@@ -199,6 +210,7 @@ def main(argv=None) -> int:
             result["traced"][side] = {key: traced[key]
                                       for key in ("attempted", "failed", "metrics")}
         result["calls"] = {side: count_calls(checkout) for side, checkout in sides.items()}
+        result["src_lines"] = {side: src_lines(checkout) for side, checkout in sides.items()}
         result["tier1"] = {"command": "PYTHONPATH=src python " + " ".join(TIER1)}
         for side, checkout in sides.items():
             result["tier1"][side] = run_tier1(checkout)

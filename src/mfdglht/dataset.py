@@ -258,11 +258,11 @@ def _group_values(gi: int, cells: np.ndarray, values: np.ndarray, m: int) -> np.
     return group.reshape(n_obs, p, m)
 
 
-def load_csv(source, a: float = 0.0, b: float = 1.0, grid: Grid | None = None) -> FunctionalDataset:
+def load_csv(source, a: float = 0.0, b: float = 1.0) -> FunctionalDataset:
     """Read a dataset from a long-format CSV stream or path.
 
-    The grid is either supplied explicitly or taken as uniform on [a, b]
-    with as many points as the largest ``time_index`` in the file. Blank
+    The grid is uniform on [a, b], with as many points as the largest
+    ``time_index`` in the file. Blank
     lines and lines whose first non-blank character is ``#`` are ignored.
     Every (group, obs, component, time_index) cell must be present
     exactly once.
@@ -276,8 +276,6 @@ def load_csv(source, a: float = 0.0, b: float = 1.0, grid: Grid | None = None) -
             f"non-finite value at {_cell_label(CSV_HEADER, cells[non_finite[0]])}"
         )
     m = int(cells[:, 3].max())
-    if grid is not None and grid.m != m:
-        raise IngestionError(f"grid has {grid.m} points but file uses time_index up to {m}")
     if m < 2:
         raise IngestionError(f"file uses time_index up to {m}; a grid needs at least 2 points")
 
@@ -301,9 +299,7 @@ def load_csv(source, a: float = 0.0, b: float = 1.0, grid: Grid | None = None) -
                 f"component count mismatch: group {gi} has p={g.values.shape[1]}, "
                 f"group 1 has p={p}"
             )
-    if grid is None:
-        grid = make_uniform_grid(m, a, b)
-    return FunctionalDataset(grid, tuple(groups))
+    return FunctionalDataset(make_uniform_grid(m, a, b), tuple(groups))
 
 
 def write_csv(ds: FunctionalDataset, sink) -> None:

@@ -3,11 +3,11 @@
 Scaling the hypothesis and error variation matrices by their estimated
 degrees of freedom yields two approximately Wishart matrices M1 and M2.
 The Wilks, Lawley-Hotelling, and Pillai functionals of (M1, M2) are
-functions of the eigenvalues of M2^{-1} M1, taken from one generalized
-symmetric eigenproblem solved with numpy alone: a Cholesky factor L of M2
-(scaled to unit diagonal) and the spectrum of L^{-1} M1 L^{-T}. Each is
-then mapped to an F statistic with (possibly fractional) degrees of
-freedom.
+functions of the eigenvalues theta of M2^{-1} M1, the spectrum of S M1 S^T
+for any S with S^T S = M2^{-1}. A test's M2 is d_e times the pooled matrix,
+so S is the root the preparation pass already took over sqrt(d_e); only
+``statistics``, given any pair, factors M2. Each is then mapped to an F
+statistic with (possibly fractional) degrees of freedom.
 
 A test is the design of its contrast and group sizes (``glht._design``),
 built once, and a per-dataset pass: ``_dof_and_statistics`` (the
@@ -32,11 +32,13 @@ from .dof import DofEstimate, _Dof, _dof, _dof_estimate, _test_design
 from .errors import (
     ApproximationUndefinedError,
     InputError,
+    NotPositiveDefiniteError,
     SingularErrorMatrixError,
     ValidationError,
 )
 from .glht import ContrastSpec, _Design, _prepare
 from .grid import quad_weights
+from .moments import _spd_inv_sqrt
 
 __all__ = [
     "TestStatistics",
@@ -53,9 +55,9 @@ __all__ = [
 
 STATISTIC_NAMES = ("mfw", "mflh", "mfp")
 
-# Eigenvalue ratio at which M2 scaled to unit diagonal counts as singular. The
-# scaling leaves any Omega-hat that passed inv_sqrt_spd's 1e-10 above 1e-10 / p
-# (van der Sluis), so no such M2 is rejected while p < 1000.
+# Eigenvalue ratio at which ``statistics`` counts M2 scaled to unit diagonal as
+# singular. That scaling leaves any Omega-hat that passed inv_sqrt_spd's 1e-10
+# above 1e-10 / p (van der Sluis): no test's M2 fails it while p < 1000.
 M2_REL_TOL = 1e-13
 
 
@@ -144,31 +146,13 @@ class TestReport:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-def _theta(m1: np.ndarray, m2: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of M2^{-1} M1 for finite symmetric M1 and M2.
-
-    Both are scaled to M2's unit diagonal first, which leaves the
-    eigenvalues unchanged. The scaled M2 must pass the eigenvalue-ratio test
-    and have a Cholesky factor L; theta is then the spectrum of the
-    symmetric L^{-1} M1 L^{-T}.
-    """
-    if not (np.isfinite(m1).all() and np.isfinite(m2).all()):
+def _theta(root: np.ndarray, m1: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of M2^{-1} M1, given a ``root`` with
+    root^T root = M2^{-1}: the spectrum of the symmetric root M1 root^T."""
+    sym = root @ m1 @ root.T
+    if not np.isfinite(sym).all():
         raise ValidationError("M1 and M2 must be finite")
-    diag = m2.diagonal()
-    if (diag <= 0).any():
-        raise SingularErrorMatrixError("error matrix M2 is not positive definite")
-    scale = 1.0 / np.sqrt(diag)
-    outer = scale[:, None] * scale
-    m2_unit = m2 * outer
-    eig = np.linalg.eigvalsh(m2_unit)
-    if eig[0] <= M2_REL_TOL * eig[-1]:
-        raise SingularErrorMatrixError("error matrix M2 is numerically singular")
-    try:
-        low = np.linalg.cholesky(m2_unit)
-    except np.linalg.LinAlgError as exc:
-        raise SingularErrorMatrixError("error matrix M2 is not positive definite") from exc
-    low_inv = np.linalg.inv(low)
-    theta = np.linalg.eigvalsh(low_inv @ (m1 * outer) @ low_inv.T)
+    theta = np.linalg.eigvalsh(sym)
     # By Sylvester's law of inertia theta has the signs of M1's eigenvalues.
     if theta[0] < -1e-8 * max(1.0, np.abs(theta).max()):
         raise ValidationError("M1 must be positive semidefinite")
@@ -187,12 +171,12 @@ def _functionals(theta: np.ndarray) -> tuple[float, float, float]:
 def statistics(m1: np.ndarray, m2: np.ndarray) -> TestStatistics:
     """Wilks, Lawley-Hotelling, and Pillai functionals of (M1, M2).
 
-    All three are functions of the eigenvalues theta of M2^{-1} M1, one
-    generalized symmetric eigenproblem solved with numpy alone: Wilks is
-    prod 1/(1 + theta), Lawley-Hotelling sum theta, Pillai sum
-    theta/(1 + theta). An error matrix that is not positive definite fails
-    fast, as does one singular to working precision once scaled to unit
-    diagonal; a negative theta means M1 is not positive semidefinite.
+    All three are functions of the eigenvalues theta of M2^{-1} M1: Wilks
+    is prod 1/(1 + theta), Lawley-Hotelling sum theta, Pillai sum
+    theta/(1 + theta). M2 scaled to unit diagonal is factored by
+    ``moments._spd_inv_sqrt``. An error matrix with a nonpositive diagonal
+    entry fails fast, as does one singular to working precision once
+    scaled; a negative theta means M1 is not positive semidefinite.
     """
     m1 = np.asarray(m1, dtype=np.float64)
     m2 = np.asarray(m2, dtype=np.float64)
@@ -200,7 +184,17 @@ def statistics(m1: np.ndarray, m2: np.ndarray) -> TestStatistics:
         raise ValidationError("M1 and M2 must be square matrices of equal size")
     m1 = (m1 + m1.T) / 2.0
     m2 = (m2 + m2.T) / 2.0
-    return TestStatistics(*_functionals(_theta(m1, m2)), m1=m1, m2=m2)
+    if not (np.isfinite(m1).all() and np.isfinite(m2).all()):
+        raise ValidationError("M1 and M2 must be finite")
+    diag = m2.diagonal()
+    if (diag <= 0).any():
+        raise SingularErrorMatrixError("error matrix M2 is not positive definite")
+    scale = 1.0 / np.sqrt(diag)
+    try:
+        root = _spd_inv_sqrt(m2 * (scale[:, None] * scale), M2_REL_TOL) * scale
+    except NotPositiveDefiniteError as exc:
+        raise SingularErrorMatrixError("error matrix M2 is numerically singular") from exc
+    return TestStatistics(*_functionals(_theta(root, m1)), m1=m1, m2=m2)
 
 
 def _check_args(stat: float, df1: float, df2: float, error: type) -> None:
@@ -347,8 +341,8 @@ def _dof_and_statistics(design: _Design, values) -> tuple[_Dof, np.ndarray, np.n
     bn, omega, curves = _prepare(design, values)
     dof = _dof(design, curves)
     m1 = dof.d_b * bn
-    m2 = dof.d_e * omega.omega
-    return dof, m1, m2, _theta(m1, m2)
+    theta = _theta(omega.inv_sqrt / math.sqrt(dof.d_e), m1)
+    return dof, m1, dof.d_e * omega.omega, theta
 
 
 def _f_tests(functionals: tuple[float, float, float], p: int,

@@ -9,8 +9,9 @@ integrated covariance), whose expectations match under the null.
 
 Everything that depends only on (C, C0), the group sizes, the grid and p
 is the test's design (``_design``), built once and shared by every dataset
-of that shape: H, the factor of C D C^T that B applies, the touched groups
-and the weights the degrees of freedom read. A group whose column of C is
+of that shape: H and the factors B applies (``_contrast_roots``, from C's
+row space), the touched groups and the weights the degrees of freedom
+read. A group whose column of C is
 zero has zero weight in H, B and E, so the one preparation pass over a
 dataset (``_prepare``) reads only the curves of the groups C touches: one
 Gram of the curves the hypothesis weighs is all the degrees of freedom
@@ -23,10 +24,9 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
-import scipy.linalg
 
 from .dataset import FunctionalDataset, _cell_label, _read_rows
-from .errors import ContrastRankError, IngestionError, ValidationError
+from .errors import ContrastRankError, IngestionError, SingularOmegaError, ValidationError
 from .grid import QuadWeights
 from .moments import (
     MeanFunctions,
@@ -36,6 +36,7 @@ from .moments import (
     _omega,
     _pooled,
     _require_covariance,
+    _spd_inv_sqrt,
 )
 
 __all__ = [
@@ -51,6 +52,8 @@ __all__ = [
 ]
 
 RANK_REL_TOL = 1e-10
+# Relative to the pooled squared mean curves: what rounding the values can leave.
+ROUNDING_REL_TOL = (64 * np.finfo(np.float64).eps) ** 2
 
 
 @dataclass(frozen=True)
@@ -92,9 +95,9 @@ class ContrastSpec:
     def k(self) -> int:
         return self.c.shape[1]
 
-    def is_pure_contrast(self, tol: float = 1e-12) -> bool:
+    def is_pure_contrast(self) -> bool:
         """True when every row of C annihilates the ones vector."""
-        return bool(np.all(np.abs(self.c.sum(axis=1)) <= tol * max(1.0, np.abs(self.c).max())))
+        return bool(np.all(np.abs(self.c.sum(axis=1)) <= 1e-12 * max(1.0, np.abs(self.c).max())))
 
 
 @dataclass(frozen=True)
@@ -122,35 +125,35 @@ def oneway_contrast(k: int) -> ContrastSpec:
     return ContrastSpec(np.hstack([np.eye(k - 1), -np.ones((k - 1, 1))]))
 
 
-def _cholesky_cdc(c: np.ndarray, n) -> np.ndarray:
-    """Lower Cholesky factor L of C D C^T with D = diag(1/n_i)."""
+def _contrast_roots(c: np.ndarray, n) -> tuple[np.ndarray, np.ndarray]:
+    """F = R V^T and G = R S^{-1} U^T, with U S V^T the thin SVD of C's nonzero
+    columns and R = (V^T D V)^{-1/2}, D = diag(1/n_i): H = F^T F, G C = F and
+    G^T G = (C D C^T)^{-1}. V^T D V has condition at most max n_i / min n_i."""
     n = np.asarray(n, dtype=np.float64)
     if np.any(n < 1):
         raise ValidationError("group sizes must be >= 1")
-    gram = (c / n) @ c.T
-    return np.linalg.cholesky((gram + gram.T) / 2.0)
+    touched = np.any(c != 0, axis=0)
+    u, s, vt = np.linalg.svd(c[:, touched], full_matrices=False)
+    root = _spd_inv_sqrt((vt / n[touched]) @ vt.T)
+    f = np.zeros(c.shape)
+    f[:, touched] = root @ vt
+    return f, (root / s) @ u.T
 
 
-def _whiten(low: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """L^{-1} x for a lower Cholesky factor L: with F = L^{-1} C, H = F^T F and
-    B weighs the contrasted mean curves through F."""
-    return scipy.linalg.solve_triangular(low, x, lower=True, check_finite=False)
-
-
-def _c0_offset(low: np.ndarray, c0: np.ndarray | None, p: int, m: int) -> np.ndarray | None:
-    """L^{-1} C0 as a (q, p*m) array, or None without C0."""
+def _c0_offset(g: np.ndarray, c0: np.ndarray | None, p: int, m: int) -> np.ndarray | None:
+    """G C0 as a (q, p*m) array, or None without C0."""
     if c0 is None:
         return None
-    q = low.shape[0]
+    q = g.shape[0]
     if c0.shape != (q, p, m):
         raise ValidationError(f"C0 shape {c0.shape} does not match (q={q}, p={p}, m={m})")
-    return _whiten(low, c0.reshape(q, p * m))
+    return g @ c0.reshape(q, p * m)
 
 
 def hn_matrix(c: np.ndarray, n) -> np.ndarray:
     """Weighting matrix C^T (C D C^T)^{-1} C with D = diag(1/n_i); k x k PSD."""
     spec = c if isinstance(c, ContrastSpec) else ContrastSpec(c)
-    f = _whiten(_cholesky_cdc(spec.c, n), spec.c)
+    f = _contrast_roots(spec.c, n)[0]
     return f.T @ f
 
 
@@ -158,7 +161,7 @@ def _bn(means: np.ndarray, factor: np.ndarray, offset: np.ndarray | None,
         sqrt_w: np.ndarray) -> np.ndarray:
     """B from the (t, p, m) means of the groups that ``factor``'s t columns weigh:
     the sum over rows and time of the outer products of the residual curves
-    L^{-1} (C M(t) - C0(t)), each scaled by sqrt(w)."""
+    F M(t) - G C0(t), each scaled by sqrt(w)."""
     _, p, m = means.shape
     resid = factor @ means.reshape(len(means), p * m)
     if offset is not None:
@@ -177,9 +180,8 @@ def b_matrix(
     k, p, m = means.means.shape
     if spec.k != k:
         raise ValidationError(f"contrast has {spec.k} columns but dataset has {k} groups")
-    low = _cholesky_cdc(spec.c, n)
-    return _bn(means.means, _whiten(low, spec.c), _c0_offset(low, spec.c0, p, m),
-               np.sqrt(w.weights))
+    f, g = _contrast_roots(spec.c, n)
+    return _bn(means.means, f, _c0_offset(g, spec.c0, p, m), np.sqrt(w.weights))
 
 
 def e_matrix(sigmas, hn: np.ndarray, n) -> np.ndarray:
@@ -218,8 +220,8 @@ class _Design:
     hn: np.ndarray  # H, k x k
     touched: np.ndarray
     n: np.ndarray  # the touched groups' sizes, as floats
-    b_factor: np.ndarray  # the touched columns of F = L^{-1} C
-    b_offset: np.ndarray | None  # L^{-1} C0, (q, p*m)
+    b_factor: np.ndarray  # the touched columns of F
+    b_offset: np.ndarray | None  # G C0, (q, p*m)
     starts: np.ndarray  # each touched group's first prepared curve
     curves: tuple[slice, ...]  # each touched group's prepared curves
     omega_weights: np.ndarray  # h_ii / n_i
@@ -237,10 +239,9 @@ def _design(spec: ContrastSpec, sizes: tuple[int, ...], w: QuadWeights, p: int) 
     if spec.k != len(sizes):
         raise ValidationError(f"contrast has {spec.k} columns but dataset has {len(sizes)} groups")
     m = w.weights.size
-    low = _cholesky_cdc(spec.c, sizes)  # the one factor of C D C^T that H and B share
-    f = _whiten(low, spec.c)
+    f, g = _contrast_roots(spec.c, sizes)  # the one factorization that H and B share
     hn = f.T @ f
-    offset = _c0_offset(low, spec.c0, p, m)
+    offset = _c0_offset(g, spec.c0, p, m)
     _require_covariance(sizes, range(len(sizes)))
     touched = np.flatnonzero(np.any(spec.c != 0, axis=0))
     n = np.array([sizes[i] for i in touched], dtype=np.float64)
@@ -271,11 +272,17 @@ def _design(spec: ContrastSpec, sizes: tuple[int, ...], w: QuadWeights, p: int) 
 def _prepare(design: _Design, values) -> tuple[np.ndarray, OmegaHat, np.ndarray]:
     """The one preparation pass over the touched groups' curves ``values``:
     B, the pooled matrix, and the curves centered by group, scaled by
-    sqrt(w) and standardized in place (read-only, shape (N, p, m))."""
+    sqrt(w) and standardized in place (read-only, shape (N, p, m)); the
+    pooled matrix must stand above the rounding level of the values."""
     means, curves = _centered_weighted(values, design.sqrt_w)
     bn = _bn(means, design.b_factor, design.b_offset, design.sqrt_w)
     sigmas = _integrated_covs(curves, design.starts, design.n)
-    omega = _omega(_pooled(sigmas, design.omega_weights))
+    pooled = _pooled(sigmas, design.omega_weights)
+    level = design.omega_weights @ np.square(means * design.sqrt_w).sum(axis=2)
+    if (pooled.diagonal() <= ROUNDING_REL_TOL * level).any():
+        raise SingularOmegaError("pooled covariance matrix is numerically singular: "
+                                 "no larger than rounding the curves' values leaves it")
+    omega = _omega(pooled)
     # Group by group: matmul copies an operand that overlaps its output.
     for rows in design.curves:
         np.matmul(omega.inv_sqrt, curves[rows], out=curves[rows])

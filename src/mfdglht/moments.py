@@ -6,6 +6,7 @@ An integrated covariance is a p x p reduction of those curves, so the full
 covariance kernel is never formed. The pooled matrix combines the per-group
 integrated covariances with the diagonal of the hypothesis weighting
 matrix; its symmetric inverse square root standardizes the prepared curves.
+``_spd_inv_sqrt`` is the one routine that factors a positive-definite matrix.
 """
 
 from __future__ import annotations
@@ -122,11 +123,11 @@ def _spd_inv_sqrt(sym: np.ndarray, rel_tol: float = PD_REL_TOL) -> np.ndarray:
     return (eigvecs / np.sqrt(eigvals)) @ eigvecs.T
 
 
-def inv_sqrt_spd(a: np.ndarray, rel_tol: float = PD_REL_TOL) -> np.ndarray:
+def inv_sqrt_spd(a: np.ndarray) -> np.ndarray:
     """Symmetric inverse square root of an SPD matrix via eigendecomposition.
 
     Raises ``NotPositiveDefiniteError`` when any eigenvalue falls at or
-    below ``rel_tol`` times the largest one.
+    below ``PD_REL_TOL`` times the largest one.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -134,7 +135,7 @@ def inv_sqrt_spd(a: np.ndarray, rel_tol: float = PD_REL_TOL) -> np.ndarray:
     scale = np.max(np.abs(a)) if a.size else 0.0
     if scale > 0 and np.max(np.abs(a - a.T)) > 1e-10 * scale:
         raise ValidationError("matrix is not symmetric")
-    return _spd_inv_sqrt((a + a.T) / 2.0, rel_tol)
+    return _spd_inv_sqrt((a + a.T) / 2.0)
 
 
 def _pooled(sigmas: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -41,6 +41,21 @@ def test_cmd_test_success(tmp_path, capsys):
     assert report["dof"]["d_b"] > 0
 
 
+def test_cmd_test_nearly_collinear_contrast_exit_0(tmp_path):
+    # ContrastSpec accepts this C (singular-value ratio 2.5e-10); C D C^T is
+    # then too ill-conditioned for a Cholesky factor, but the test only needs
+    # C's row space.
+    data = tmp_path / "data.csv"
+    contrast = tmp_path / "c.csv"
+    out = tmp_path / "report.json"
+    write_dataset(data, dict(n="n3", seed=3), seed=(3, 0))
+    contrast.write_text("row,col,value\n1,1,1\n1,2,-1\n2,1,1\n2,2,-0.999999999\n")
+    code = main(["test", "--data", str(data), "--contrast", str(contrast), "--out", str(out)])
+    assert code == 0
+    for value in json.loads(out.read_text())["p_values"].values():
+        assert 0.0 <= value <= 1.0
+
+
 def test_cmd_test_small_group_exit_2(tmp_path, capsys):
     data = tmp_path / "data.csv"
     contrast = tmp_path / "c.csv"

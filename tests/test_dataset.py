@@ -277,13 +277,6 @@ def test_component_count_mismatch_named():
     )
 
 
-def test_grid_length_mismatch():
-    text = layout(cell_rows())
-    assert ingestion_message(text, grid=make_uniform_grid(3, 0.0, 1.0)) == (
-        "grid has 3 points but file uses time_index up to 2"
-    )
-
-
 def test_single_time_point_is_an_ingestion_error():
     text = make_csv(["1,1,1,1,0.5", "1,2,1,1,0.25"])
     assert ingestion_message(text) == "file uses time_index up to 1; a grid needs at least 2 points"

@@ -626,6 +626,48 @@ def test_run_glht_invariant_to_relabeling(case):
 
 
 @st.composite
+def reparameterization_cases(draw):
+    """A dataset, a contrast (with or without C0) and an invertible q x q map A
+    whose condition number is 10^d for d drawn from [0, 8]."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k, p, m = draw(st.integers(2, 4)), draw(st.integers(1, 3)), draw(st.integers(3, 8))
+    groups = [rng.normal(size=(n, p, m)) for n in rng.integers(4, 10, size=k)]
+    q = draw(st.integers(1, k - 1))
+    # Orthonormal rows, so that AC stays inside ContrastSpec's rank bound.
+    c = np.linalg.qr(rng.normal(size=(k, q)))[0].T * rng.uniform(0.5, 2.0)
+    c0 = rng.normal(size=(q, p, m)) if draw(st.booleans()) else None
+    decades = draw(st.floats(0.0, 8.0))
+    svals = 10.0 ** np.linspace(0.0, -decades, q) * 10.0 ** rng.uniform(-4.0, 4.0)
+    rotations = [np.linalg.qr(rng.normal(size=(q, q)))[0] for _ in range(2)]
+    a = (rotations[0] * svals) @ rotations[1]
+    a_c0 = None if c0 is None else np.einsum("ab,bpt->apt", a, c0)
+    return groups, ContrastSpec(c, c0), ContrastSpec(a @ c, a_c0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=reparameterization_cases())
+def test_run_glht_invariant_to_ill_conditioned_reparameterization(case):
+    # (C, C0) -> (AC, AC0) changes no quantity of the test for any invertible
+    # A; at cond(A) = 1e8 only rounding of order cond(A) * eps may show.
+    groups, spec, mapped = case
+    ds = dataset_from(groups, m=groups[0].shape[2])
+
+    def summary(contrast):
+        report = run_glht(ds, contrast)
+        return [report.dof.d_b, report.dof.d_e] + [
+            report.p_values[name] for name in ("mfw", "mflh", "mfp")
+        ]
+
+    try:
+        base = summary(spec)
+    except MfdGlhtError:
+        with pytest.raises(MfdGlhtError):
+            summary(mapped)
+        return
+    assert summary(mapped) == pytest.approx(base, rel=1e-5)
+
+
+@st.composite
 def edge_size_cases(draw):
     """Groups of 4 or 5 curves with p up to 12, so N = sum n_i comes close to p."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))

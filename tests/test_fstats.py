@@ -1,4 +1,6 @@
 import json
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import scipy.integrate
 import scipy.linalg
 import scipy.stats
 
+import mfdglht
 from mfdglht import (
     ApproximationUndefinedError,
     ContrastSpec,
@@ -18,11 +21,16 @@ from mfdglht import (
     f_approx_mfw,
     f_cdf,
     f_sf,
+    fstats,
     gen_sample,
+    load_config_file,
+    quad_weights,
     run_glht,
     statistics,
 )
+from mfdglht.dof import _test_design
 from mfdglht.fstats import _theta
+from mfdglht.moments import inv_sqrt_spd
 
 
 def test_statistics_identity_matrices():
@@ -333,7 +341,8 @@ def test_statistics_match_definitions_over_random_pairs():
 
 
 def test_theta_matches_scipy_generalized_eigh():
-    # The numpy Cholesky path gives the generalized eigenvalues that
+    # Through the root that statistics takes (M2 scaled to unit diagonal),
+    # the helper gives the generalized eigenvalues that
     # scipy.linalg.eigh(M1, M2) gives, on 200 random SPD pairs.
     rng = np.random.default_rng(17)
     for _ in range(200):
@@ -341,8 +350,46 @@ def test_theta_matches_scipy_generalized_eigh():
         m1, m2 = _random_pair(rng, p, rng.uniform(0.0, 2.0))
         m1 = m1 + np.eye(p) * rng.uniform(0.0, 1.0) * np.trace(m1) / p  # SPD, not only PSD
         want = scipy.linalg.eigh(m1, m2, eigvals_only=True)
-        got = _theta(m1, m2)
+        scale = 1.0 / np.sqrt(np.diag(m2))
+        got = _theta(inv_sqrt_spd(m2 * np.outer(scale, scale)) * scale, m1)
         assert np.allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+BUNDLED_CONFIGS = sorted(
+    (Path(mfdglht.__file__).parent / "configs").glob("*.json"), key=lambda path: path.name
+)
+
+
+@pytest.mark.parametrize("path", BUNDLED_CONFIGS, ids=lambda path: path.stem)
+def test_pass_reads_theta_through_the_pooled_root(path, monkeypatch):
+    # The per-dataset pass factors the pooled matrix once (one eigh) and takes
+    # theta from its root (one eigvalsh), and that theta is the one
+    # statistics(d_b B, d_e Omega-hat) computes from scratch.
+    calls = Counter()
+
+    def counting(name, run):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return run(*args, **kwargs)
+
+        return counted
+
+    for name in ("eigh", "eigvalsh", "cholesky", "inv", "svd"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    thetas = []
+    theta_of = fstats._theta
+    monkeypatch.setattr(fstats, "_theta", lambda *args: thetas.append(theta_of(*args)) or thetas[-1])
+    for cfg in load_config_file(str(path))[:3]:
+        design = _test_design(cfg.contrast_spec(), cfg.n, quad_weights(cfg.grid()), cfg.p)
+        for seed in (1, 2, 3):
+            groups = gen_sample(cfg, [seed, 0]).groups
+            calls.clear()
+            _, m1, m2, theta = fstats._dof_and_statistics(
+                design, [groups[i].values for i in design.touched]
+            )
+            assert calls == {"eigh": 1, "eigvalsh": 1}
+            statistics(m1, m2)
+            assert np.allclose(theta, thetas[-1], rtol=0, atol=1e-12 * np.abs(theta).max())
 
 
 def test_statistics_rejects_indefinite_m1():

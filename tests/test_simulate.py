@@ -309,6 +309,19 @@ def test_size_power_study_counts_a_forced_degeneracy():
     assert res.pole_fallbacks == {"mflh": 0, "mfw": 0}
 
 
+def test_size_power_study_rounding_residue_is_singular_not_a_verdict():
+    # At the default setting (n3, p=6, m=80) the rho = 1e-40 innovations also
+    # fall below the last bit of the mean curves, but the pooled matrix left
+    # (their rounding residue, diagonal 1e-30 to 1e-33) passes the eigenvalue
+    # ratio test. It is at the rounding level of the curves' values, so every
+    # replication is singular instead of a rejection under the null.
+    res = size_power_study(SimConfig(rho=1e-40, reps=20, seed=1))
+    assert res.errors_by_kind == {"SingularOmegaError": 20}
+    # Innovations small against the means, but above their rounding, still test.
+    for rho in (1e-12, 1e-16):
+        assert size_power_study(SimConfig(rho=rho, reps=20, seed=1)).completed == 20
+
+
 def _plus_minus_one_draw(seed) -> FunctionalDataset:
     # Four +-1 curves on four points per group, as in
     # test_dof.py::test_dof_clamps_negative_brackets: some draws clamp a
