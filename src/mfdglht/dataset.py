@@ -8,6 +8,7 @@ CSV with header ``group,obs,component,time_index,value``; indices are
 
 from __future__ import annotations
 
+import contextlib
 import io
 import itertools
 import os
@@ -115,39 +116,47 @@ def _open_text(source):
     return source, False
 
 
-class _ContentLines:
-    """The stripped lines of a text stream that are neither blank nor comments.
+# Raw lines handed to the parser at once; only a chunk it rejects is
+# filtered line by line.
+CHUNK_LINES = 2**15
 
-    A line is skipped when it is empty after stripping whitespace or when
-    its first non-blank character is ``#``. Iterating yields the other
-    lines; ``line_no`` and ``line`` name the last one yielded, and
-    ``skipped`` lists the physical numbers of the lines passed over.
+
+def _parse(lines, dtype) -> np.ndarray:
+    return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+
+
+def _read_chunk(chunk: list[str], first: int, dtype, header, row_fault):
+    """Parse a chunk of raw lines, the first of them line ``first``, into its
+    records and the message naming its first index below 1, if any.
+
+    A chunk the parser rejects is parsed again without its skipped lines,
+    and so is one that opens with a blank line: it may hold no row, which
+    the parser warns about. The parser skips empty lines and reads fields
+    around surrounding blanks, so either way row i is the chunk's i-th
+    content line.
     """
-
-    def __init__(self, stream):
-        self.stream = stream
-        self.line_no = 0
-        self.line = ""
-        self.skipped: list[int] = []
-
-    def __iter__(self):
-        skipped = self.skipped
-        for self.line_no, line in enumerate(map(str.strip, self.stream), start=1):
-            if line and line[0] != "#":
-                self.line = line
-                yield line
-            else:
-                skipped.append(self.line_no)
-
-    def physical_line(self, header_line: int, row: int) -> int:
-        """The line number of data row ``row`` (0-based) after the header."""
-        line_no = header_line + 1 + row
-        for skipped in self.skipped:
-            if skipped > line_no:
-                break
-            if skipped > header_line:
-                line_no += 1
-        return line_no
+    records = None
+    if chunk[0].strip():
+        with contextlib.suppress(ValueError):
+            records = _parse(chunk, dtype)
+    if records is None:
+        lines = [line for line in chunk if (s := line.lstrip()) and s[0] != "#"]
+        with contextlib.suppress(ValueError):
+            records = _parse(lines, dtype) if lines else np.empty(0, dtype)
+    if records is not None and records["cell"].min(initial=1) >= 1:
+        return records, None
+    content = [(no, line) for no, line in enumerate(map(str.strip, chunk), start=first)
+               if line and line[0] != "#"]
+    if records is None:
+        # The parser reads an iterator a line at a time: it stops at the line it rejects.
+        pairs = iter(content)
+        with contextlib.suppress(ValueError):
+            _parse((line for _, line in pairs), dtype)
+        line_no, line = content[-1 - len(list(pairs))]
+        raise IngestionError(row_fault(line, line_no, header) or f"line {line_no}: malformed row")
+    cells = records["cell"]
+    row, col = np.argwhere(cells < 1)[0]
+    return records, f"line {content[row][0]}: {header[col]} must be >= 1, got {cells[row, col]}"
 
 
 def _read_rows(source, header: tuple[str, ...], row_fault) -> tuple[np.ndarray, np.ndarray]:
@@ -162,45 +171,37 @@ def _read_rows(source, header: tuple[str, ...], row_fault) -> tuple[np.ndarray, 
     empty. For a line the parser rejects, ``row_fault(line, line_no,
     header)`` returns the message that names its fault, or None to report
     the line as malformed.
+
+    The lines after the header reach the parser raw, ``CHUNK_LINES`` at a
+    time; only a chunk it rejects is filtered line by line (``_read_chunk``).
     """
+    dtype = [("cell", np.int64, (len(header) - 1,)), ("value", np.float64)]
+    records = np.empty(0, dtype)
     stream, owned = _open_text(source)
     try:
-        lines = _ContentLines(stream)
-        rows = iter(lines)
-        first = next(rows, None)
-        if first is None:
+        for line_no, line in enumerate(map(str.strip, stream), start=1):
+            if line and line[0] != "#":
+                break
+        else:
             raise IngestionError("empty file: missing header")
-        if tuple(part.strip().lower() for part in first.split(",")) != header:
-            raise IngestionError(f"line {lines.line_no}: expected header {','.join(header)!r}")
-        header_line = lines.line_no
-        second = next(rows, None)
-        if second is None:
-            return np.empty((0, len(header) - 1), np.int64), np.empty(0)
-        dtype = [("cell", np.int64, (len(header) - 1,)), ("value", np.float64)]
-        try:
-            records = np.loadtxt(
-                itertools.chain([second], rows), dtype=dtype, delimiter=",",
-                comments=None, ndmin=1,
-            )
-        except UnicodeDecodeError:
-            raise
-        except ValueError:
-            # The parser stops at the line it rejects: the last one yielded.
-            fault = row_fault(lines.line, lines.line_no, header)
-            raise IngestionError(fault or f"line {lines.line_no}: malformed row") from None
+        if tuple(part.strip().lower() for part in line.split(",")) != header:
+            raise IngestionError(f"line {line_no}: expected header {','.join(header)!r}")
+        below = None
+        while chunk := list(itertools.islice(stream, CHUNK_LINES)):
+            part, fault = _read_chunk(chunk, line_no + 1, dtype, header, row_fault)
+            # Grown by realloc, so the rows are never held twice (as a list of parts would).
+            records.resize(len(records) + len(part), refcheck=False)
+            records[len(records) - len(part):] = part
+            below = below or fault
+            line_no += len(chunk)
     except UnicodeDecodeError as exc:
         raise IngestionError(f"file is not valid UTF-8: {exc.reason}") from None
     finally:
         if owned:
             stream.close()
-    cells, values = records["cell"], records["value"]
-    if cells.min() < 1:
-        row, col = np.argwhere(cells < 1)[0]
-        raise IngestionError(
-            f"line {lines.physical_line(header_line, row)}: {header[col]} must be >= 1, "
-            f"got {cells[row, col]}"
-        )
-    return cells, values
+    if below:  # reported only when no line is malformed, as in a whole-file parse
+        raise IngestionError(below)
+    return records["cell"], records["value"]
 
 
 def _cell_label(names, values) -> str:

@@ -130,6 +130,8 @@ def _contrast_roots(c: np.ndarray, n) -> tuple[np.ndarray, np.ndarray]:
     columns and R = (V^T D V)^{-1/2}, D = diag(1/n_i): H = F^T F, G C = F and
     G^T G = (C D C^T)^{-1}. V^T D V has condition at most max n_i / min n_i."""
     n = np.asarray(n, dtype=np.float64)
+    if n.shape != (c.shape[1],):
+        raise ValidationError(f"contrast has {c.shape[1]} columns but {n.size} group sizes")
     if np.any(n < 1):
         raise ValidationError("group sizes must be >= 1")
     touched = np.any(c != 0, axis=0)
@@ -273,15 +275,18 @@ def _prepare(design: _Design, values) -> tuple[np.ndarray, OmegaHat, np.ndarray]
     """The one preparation pass over the touched groups' curves ``values``:
     B, the pooled matrix, and the curves centered by group, scaled by
     sqrt(w) and standardized in place (read-only, shape (N, p, m)); the
-    pooled matrix must stand above the rounding level of the values."""
-    means, curves = _centered_weighted(values, design.sqrt_w)
-    bn = _bn(means, design.b_factor, design.b_offset, design.sqrt_w)
-    sigmas = _integrated_covs(curves, design.starts, design.n)
-    pooled = _pooled(sigmas, design.omega_weights)
-    level = design.omega_weights @ np.square(means * design.sqrt_w).sum(axis=2)
+    pooled matrix and the rounding level must be finite, and the former must
+    stand above the latter."""
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is checked below
+        means, curves = _centered_weighted(values, design.sqrt_w)
+        pooled = _pooled(_integrated_covs(curves, design.starts, design.n), design.omega_weights)
+        level = design.omega_weights @ np.square(means * design.sqrt_w).sum(axis=2)
+    if not (np.isfinite(pooled).all() and np.isfinite(level).all()):
+        raise ValidationError("values too large: their squares overflow float64")
     if (pooled.diagonal() <= ROUNDING_REL_TOL * level).any():
         raise SingularOmegaError("pooled covariance matrix is numerically singular: "
                                  "no larger than rounding the curves' values leaves it")
+    bn = _bn(means, design.b_factor, design.b_offset, design.sqrt_w)
     omega = _omega(pooled)
     # Group by group: matmul copies an operand that overlaps its output.
     for rows in design.curves:

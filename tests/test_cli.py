@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from mfdglht import SimConfig, gen_sample, write_csv
+from mfdglht import FunctionalDataset, GroupSample, SimConfig, gen_sample, write_csv
 from mfdglht.cli import main
 
 
@@ -322,6 +322,20 @@ def single_error_line(capsys) -> dict:
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     return json.loads(lines[0])
+
+
+def test_cmd_test_overflowing_values_exit_2(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    contrast = tmp_path / "c.csv"
+    ds = gen_sample(SimConfig(n="n3", model=2), [1, 2])
+    groups = tuple(GroupSample(g.values * 1e155) for g in ds.groups)
+    write_csv(FunctionalDataset(ds.grid, groups), str(data))
+    write_oneway_contrast(contrast, k=ds.k)
+    out = tmp_path / "report.json"
+    code = main(["test", "--data", str(data), "--contrast", str(contrast), "--out", str(out)])
+    assert code == 2
+    err = single_error_line(capsys)
+    assert err["error"] == "ValidationError" and "squares overflow float64" in err["message"]
 
 
 def write_small_config(path, **overrides):

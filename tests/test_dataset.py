@@ -1,3 +1,4 @@
+import inspect
 import io
 
 import numpy as np
@@ -15,6 +16,7 @@ from mfdglht import (
     validate,
     write_csv,
 )
+from mfdglht.dataset import CHUNK_LINES
 
 
 def make_csv(rows):
@@ -391,3 +393,121 @@ def test_load_csv_after_one_corrupt_byte_loads_or_raises_ingestion_error(ds, dat
         load_csv(stream)
     except IngestionError:
         pass
+
+
+# --- the chunked reader: raw lines reach the parser CHUNK_LINES at a time ---
+
+ONE_FAULT_TESTS = [
+    test_skipped_lines_are_accepted,
+    test_wrong_field_count_names_line,
+    test_non_integer_index_names_line,
+    test_index_below_one_names_line,
+    test_non_numeric_value_names_line,
+    test_trailing_comment_is_rejected,
+    test_non_finite_value_names_cell,
+    test_duplicate_cell_named,
+    test_missing_header_names_line,
+    test_file_without_header,
+    test_file_without_data_rows,
+    test_gap_in_group_numbering,
+    test_single_missing_cell_named,
+    test_first_missing_cell_named,
+    test_component_count_mismatch_named,
+    test_single_time_point_is_an_ingestion_error,
+    test_non_utf8_file_is_an_ingestion_error,
+    test_index_forms_numpy_does_not_parse_are_rejected,
+    test_value_forms_numpy_does_not_parse_are_rejected,
+    test_absurd_index_reports_first_missing_cell,
+    test_absurd_group_reports_gap,
+]
+
+
+def parameter_sets(test):
+    """Every parameter set of a test's ``parametrize`` marks, as keyword arguments."""
+    sets = [{}]
+    for mark in getattr(test, "pytestmark", []):
+        names = [name.strip() for name in mark.args[0].split(",")]
+        rows = [values if len(names) > 1 else (values,) for values in mark.args[1]]
+        sets = [{**kwargs, **dict(zip(names, row))} for kwargs in sets for row in rows]
+    return sets
+
+
+@pytest.mark.parametrize("chunk_lines", [1, 2, 3])
+def test_one_fault_files_in_small_chunks(chunk_lines, monkeypatch, tmp_path):
+    # Chunk boundaries fall before, inside and after the skipped lines and the fault.
+    monkeypatch.setattr("mfdglht.dataset.CHUNK_LINES", chunk_lines)
+    for test in ONE_FAULT_TESTS:
+        for kwargs in parameter_sets(test):
+            if "tmp_path" in inspect.signature(test).parameters:
+                kwargs["tmp_path"] = tmp_path
+            test(**kwargs)
+
+
+@pytest.mark.parametrize("chunk_lines", [1, 2, 3])
+def test_round_trip_property_in_small_chunks(chunk_lines, monkeypatch):
+    monkeypatch.setattr("mfdglht.dataset.CHUNK_LINES", chunk_lines)
+    test_load_csv_round_trip_with_shuffled_rows_and_skipped_lines()
+
+
+@pytest.mark.parametrize("chunk_lines", [8, CHUNK_LINES])
+def test_index_below_one_after_blank_line_in_clean_chunk(chunk_lines, monkeypatch):
+    # The chunk holding the fault parses raw: the parser skips the empty line
+    # itself, so its row count is not the line offset.
+    monkeypatch.setattr("mfdglht.dataset.CHUNK_LINES", chunk_lines)
+    rows = cell_rows()
+    bad = with_field(rows[FAULT_AT + 2], 1, "0")
+    lines = [HEADER, *rows[:FAULT_AT], "", *rows[FAULT_AT:FAULT_AT + 2], bad, *rows[FAULT_AT + 3:]]
+    # In 8-line chunks the second, lines[9:17], opens with a row and holds
+    # the empty line and the fault; in default chunks one holds them all.
+    assert lines[9] and lines[10] == "" and lines.index(bad) < 17
+    text = "\n".join(lines) + "\n"
+    assert ingestion_message(text) == f"line {line_of(text, bad)}: obs must be >= 1, got 0"
+
+
+def long_rows():
+    """Rows of a dataset that spans three default chunks."""
+    rows = cell_rows(k=2, n=40, p=3, m=300)
+    assert 2 * CHUNK_LINES < len(rows) < 3 * CHUNK_LINES
+    return rows
+
+
+@pytest.mark.parametrize(
+    "column, raw, message",
+    [
+        (4, "x", "value 'x' is not a number"),
+        (2, "0", "component must be >= 1, got 0"),
+        (3, "1,2", "expected 5 fields, got 6"),
+    ],
+)
+def test_fault_in_last_chunk_of_long_file(column, raw, message):
+    rows = long_rows()
+    bad = with_field(rows[-3], column, raw)
+    rows[-3] = bad
+    text = "\n".join(["# long file", HEADER, *rows]) + "\n"
+    assert line_of(text, bad) > 2 * CHUNK_LINES
+    assert ingestion_message(text) == f"line {line_of(text, bad)}: {message}"
+
+
+def test_skipped_lines_in_every_chunk_load_bit_identically():
+    rows = long_rows()
+    clean = load_csv("\n".join([HEADER, *rows]) + "\n")
+    lines = [HEADER]
+    for at in range(0, len(rows), 1000):
+        lines += ["# a comment", " \t ", *rows[at:at + 1000]]
+    commented = load_csv("\n".join(lines) + "\n")
+    assert commented.n == clean.n
+    for before, after in zip(clean.groups, commented.groups):
+        assert np.array_equal(before.values.view(np.int64), after.values.view(np.int64))
+
+
+@pytest.mark.parametrize("chunk_lines", [1, CHUNK_LINES])
+def test_malformed_line_is_reported_before_earlier_index_below_one(chunk_lines, monkeypatch):
+    # As when the whole file was parsed at once: a line the parser rejects
+    # outranks an index below 1 on an earlier line, in any chunk.
+    monkeypatch.setattr("mfdglht.dataset.CHUNK_LINES", chunk_lines)
+    rows = cell_rows()
+    rows[2] = with_field(rows[2], 0, "0")
+    bad = with_field(rows[FAULT_AT], 4, "x")
+    rows[FAULT_AT] = bad
+    text = layout(rows)
+    assert ingestion_message(text) == f"line {line_of(text, bad)}: value 'x' is not a number"

@@ -7,9 +7,12 @@ from mfdglht import (
     FunctionalDataset,
     GroupSample,
     IngestionError,
+    SimConfig,
+    ValidationError,
     b_matrix,
     build_glht,
     e_matrix,
+    gen_sample,
     group_means,
     hn_matrix,
     load_c0_csv,
@@ -17,6 +20,7 @@ from mfdglht import (
     make_uniform_grid,
     oneway_contrast,
     quad_weights,
+    run_glht,
     sigma_hat,
 )
 
@@ -238,18 +242,18 @@ def test_contrast_and_c0_files_skip_blank_and_comment_lines():
     assert c0[0, 1, 2] == -0.25 and np.count_nonzero(c0) == 1
 
 
-@pytest.mark.parametrize(
-    "text, message",
-    [
-        ("row,col,value\n1,1\n", "line 2: expected 3 fields"),
-        ("row,col,value\n\n1,x,1\n", "line 3: malformed row"),
-        ("row,col,value\n1,1,1 # note\n", "line 2: malformed row"),
-        ("row,col,value\n1,1,1\n1,1,2\n", "duplicate cell (row=1, col=1)"),
-        ("row,col,value\n# c\n", "contrast file has no data rows"),
-        ("# c\nrow,column,value\n1,1,1\n", "line 2: expected header 'row,col,value'"),
-        ("row,col,value\n  # c\n1,0,1\n", "line 3: col must be >= 1, got 0"),
-    ],
-)
+CONTRAST_CSV_ERRORS = [
+    ("row,col,value\n1,1\n", "line 2: expected 3 fields"),
+    ("row,col,value\n\n1,x,1\n", "line 3: malformed row"),
+    ("row,col,value\n1,1,1 # note\n", "line 2: malformed row"),
+    ("row,col,value\n1,1,1\n1,1,2\n", "duplicate cell (row=1, col=1)"),
+    ("row,col,value\n# c\n", "contrast file has no data rows"),
+    ("# c\nrow,column,value\n1,1,1\n", "line 2: expected header 'row,col,value'"),
+    ("row,col,value\n  # c\n1,0,1\n", "line 3: col must be >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("text, message", CONTRAST_CSV_ERRORS)
 def test_contrast_csv_errors(text, message):
     with pytest.raises(IngestionError) as info:
         load_contrast_csv(text)
@@ -300,21 +304,54 @@ def test_bounds_size_sparse_contrast_and_c0():
     assert c0[0, 1, 2] == 0.5 and np.count_nonzero(c0) == 1
 
 
-@pytest.mark.parametrize(
-    "text, message",
-    [
-        ("1,1,1\n", "line 2: expected 4 fields"),
-        ("1,1,1.5,1\n", "line 2: malformed row"),
-        ("1,1,1,1\n1,1,1,2\n", "duplicate cell (row=1, component=1, time_index=1)"),
-        ("", "C0 file has no data rows"),
-        (
-            "1,3,1,1\n",
-            "C0 cell (row=1, component=3, time_index=1) outside dataset shape (p=2, m=3)",
-        ),
-        ("\n0,1,1,1\n", "line 3: row must be >= 1, got 0"),
-    ],
-)
+C0_CSV_ERRORS = [
+    ("1,1,1\n", "line 2: expected 4 fields"),
+    ("1,1,1.5,1\n", "line 2: malformed row"),
+    ("1,1,1,1\n1,1,1,2\n", "duplicate cell (row=1, component=1, time_index=1)"),
+    ("", "C0 file has no data rows"),
+    (
+        "1,3,1,1\n",
+        "C0 cell (row=1, component=3, time_index=1) outside dataset shape (p=2, m=3)",
+    ),
+    ("\n0,1,1,1\n", "line 3: row must be >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("text, message", C0_CSV_ERRORS)
 def test_c0_csv_errors(text, message):
     with pytest.raises(IngestionError) as info:
         load_c0_csv("row,component,time_index,value\n" + text, p=2, m=3)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("chunk_lines", [1, 2, 3])
+def test_contrast_and_c0_csv_errors_in_small_chunks(chunk_lines, monkeypatch):
+    monkeypatch.setattr("mfdglht.dataset.CHUNK_LINES", chunk_lines)
+    for text, message in CONTRAST_CSV_ERRORS:
+        test_contrast_csv_errors(text, message)
+    for text, message in C0_CSV_ERRORS:
+        test_c0_csv_errors(text, message)
+
+
+@pytest.mark.parametrize("c, n", [([[1.0, -1.0]], [3, 4, 5]), ([[1.0, -1.0, 0.0]], [3, 4])])
+def test_hn_matrix_needs_one_size_per_contrast_column(c, n):
+    message = f"contrast has {len(c[0])} columns but {len(n)} group sizes"
+    with pytest.raises(ValidationError, match=message):
+        hn_matrix(np.array(c), n)
+
+
+def scaled(ds, factor):
+    return FunctionalDataset(ds.grid, tuple(GroupSample(g.values * factor) for g in ds.groups))
+
+
+def test_values_whose_squares_overflow_are_a_validation_error():
+    # Squares of values near 1e155 overflow float64; the pooled matrix is then
+    # infinite, which is out-of-range input and not a degenerate dataset.
+    cfg = SimConfig(n="n3", model=2)
+    ds, spec = gen_sample(cfg, [1, 2]), cfg.contrast_spec()
+    base = run_glht(ds, spec).p_values
+    large = run_glht(scaled(ds, 1e150), spec).p_values
+    for name, p_value in base.items():
+        assert large[name] == pytest.approx(p_value, rel=0, abs=1e-12)
+    with pytest.raises(ValidationError, match="squares overflow float64"):
+        run_glht(scaled(ds, 1e155), spec)
