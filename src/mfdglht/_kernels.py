@@ -13,7 +13,8 @@ symmetric rank-m update (``gram_upper``) of the curves scaled by the
 square roots of the quadrature weights: one Gram of the curves the
 hypothesis weighs, since a group with a zero column in the contrast adds
 nothing to any functional the test uses. The other kernels take a block
-of K and never see curves.
+of K and never see curves. The true functionals of separable covariances
+(``dof.separable_trace_integrals``) are contractions of the basis' Gram.
 
 The within-group kernel needs each group's curves centered by the group's
 mean. They then sum to zero over observations at every time point, so

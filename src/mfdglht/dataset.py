@@ -304,16 +304,17 @@ def load_csv(source, a: float = 0.0, b: float = 1.0) -> FunctionalDataset:
 
 
 def write_csv(ds: FunctionalDataset, sink) -> None:
-    """Write a dataset in the long CSV format (17 significant digits)."""
-    if isinstance(sink, (str, bytes)):
+    """Write a dataset in the long CSV format (17 significant digits) to a path or stream."""
+    if isinstance(sink, (str, bytes, os.PathLike)):
         with open(sink, "w", encoding="utf-8") as fh:
             write_csv(ds, fh)
             return
     sink.write(",".join(CSV_HEADER) + "\n")
     for gi, group in enumerate(ds.groups, start=1):
         n_obs, p, m = group.values.shape
-        for oi in range(n_obs):
-            for ci in range(p):
-                for ti in range(m):
-                    value = group.values[oi, ci, ti]
-                    sink.write(f"{gi},{oi + 1},{ci + 1},{ti + 1},{value:.17g}\n")
+        # One observation's p * m rows, with its index and values left to fill.
+        template = "".join(
+            f"{gi},%d,{ci},{ti},%.17g\n" for ci in range(1, p + 1) for ti in range(1, m + 1)
+        )
+        for oi, values in enumerate(group.values.reshape(n_obs, p * m).tolist(), start=1):
+            sink.write(template % tuple(v for value in values for v in (oi, value)))

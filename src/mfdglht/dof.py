@@ -33,7 +33,8 @@ brackets and the between-group B sum of the degrees-of-freedom
 denominators. ``_dof`` clamps the brackets at zero, and ``dof_estimates``
 (design, preparation and ``_dof``) spreads its result over all k groups;
 ``true_dof`` evaluates the same terms from known separable covariance
-structures, unclamped, as the ground truth for simulation tests.
+structures, unclamped, as the ground truth for simulation tests; their
+functionals are contractions of one Gram of the basis curves.
 """
 
 from __future__ import annotations
@@ -385,20 +386,26 @@ def separable_trace_integrals(
     returned. Returns (i_mat, t_mat, tr_sigma2, sigma) where the first two
     are k x k, the third length k, and ``sigma`` stacks the integrated
     covariance matrices, shape (k, p, p).
+
+    All four are contractions of one Gram of the basis (the identity of
+    ``_kernels``): with A[r,p,s,q] the integral of phi_rp phi_sq,
+    L_rs = sum_pq A[r,p,s,q]^2 and K_rs = sum_pq A[r,p,s,q] A[r,q,s,p]
+    give i_mat = lambda L lambda^T and t_mat = lambda K lambda^T.
     """
-    lam = np.atleast_2d(np.asarray(lambdas, dtype=np.float64))
-    phi = np.asarray(basis, dtype=np.float64)
+    cov = SeparableCovariances(lambdas, basis)
+    lam, phi = cov.lambdas, cov.basis
+    r, p, m = phi.shape
+    if w.weights.size != m:
+        raise ValidationError(f"quadrature weights have {w.weights.size} points, the basis {m}")
     if inv_sqrt is not None:
-        phi = np.einsum("pq,rqt->rpt", inv_sqrt, phi)
-    wv = w.weights
-    s_r = np.einsum("rpt,rqt,t->rpq", phi, phi, wv)
-    sigma = np.einsum("ir,rpq->ipq", lam, s_r)
-    gram = np.einsum("rpt,mps->rmts", phi, phi)
-    diag_g = np.einsum("rrts->rts", gram)
-    l_mat = np.einsum("rts,mts,t,s->rm", diag_g, diag_g, wv, wv)
-    k_mat = np.einsum("rmts,mrts,t,s->rm", gram, gram, wv, wv)
-    i_mat = lam @ l_mat @ lam.T
-    t_mat = lam @ k_mat @ lam.T
+        if np.shape(inv_sqrt) != (p, p):
+            raise ValidationError(f"inv_sqrt must have shape ({p}, {p})")
+        phi = inv_sqrt @ phi
+    flat = (phi * np.sqrt(w.weights)).reshape(r * p, m)
+    a = _kernels.symmetric_block(_kernels.gram_upper(flat), 0, r * p).reshape(r, p, r, p)
+    sigma = np.einsum("ir,rprq->ipq", lam, a)
+    i_mat = lam @ np.einsum("rpsq,rpsq->rs", a, a) @ lam.T
+    t_mat = lam @ np.einsum("rpsq,rqsp->rs", a, a) @ lam.T
     tr_sigma2 = np.einsum("ipq,iqp->i", sigma, sigma)
     return i_mat, t_mat, tr_sigma2, sigma
 

@@ -81,6 +81,42 @@ def test_round_trip_is_bit_exact():
     assert buf.getvalue() == buf2.getvalue()
 
 
+def test_write_csv_golden_text():
+    # Signed zero, the smallest subnormal, an inexact decimal and the largest
+    # double, each at 17 significant digits; rows run obs, component, time.
+    groups = (
+        GroupSample(np.array([[[-0.0, 5e-324], [0.1, 2.0]]])),
+        GroupSample(np.array([
+            [[1.7976931348623157e308, -2.5], [0.0, 1.0]],
+            [[3.0, -0.1], [1e-300, 7.0]],
+        ])),
+    )
+    buf = io.StringIO()
+    write_csv(FunctionalDataset(make_uniform_grid(2, 0.0, 1.0), groups), buf)
+    assert buf.getvalue() == (
+        "group,obs,component,time_index,value\n"
+        "1,1,1,1,-0\n"
+        "1,1,1,2,4.9406564584124654e-324\n"
+        "1,1,2,1,0.10000000000000001\n"
+        "1,1,2,2,2\n"
+        "2,1,1,1,1.7976931348623157e+308\n"
+        "2,1,1,2,-2.5\n"
+        "2,1,2,1,0\n"
+        "2,1,2,2,1\n"
+        "2,2,1,1,3\n"
+        "2,2,1,2,-0.10000000000000001\n"
+        "2,2,2,1,1e-300\n"
+        "2,2,2,2,7\n"
+    )
+
+
+def test_write_csv_to_path(tmp_path):
+    rng = np.random.default_rng(1)
+    ds = FunctionalDataset(make_uniform_grid(4, 0.0, 1.0), (GroupSample(rng.normal(size=(3, 2, 4))),))
+    write_csv(ds, tmp_path / "data.csv")
+    assert np.array_equal(load_csv(tmp_path / "data.csv").group_values(0), ds.group_values(0))
+
+
 def test_validate_passes_well_formed():
     grid = make_uniform_grid(3, 0.0, 1.0)
     ds = FunctionalDataset(grid, (GroupSample(np.zeros((2, 2, 3))),))

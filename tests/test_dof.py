@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from mfdglht import _kernels
 from mfdglht import (
     FunctionalDataset,
+    Grid,
     GroupSample,
     InsufficientReplicationError,
     MfdGlhtError,
     SeparableCovariances,
+    SimConfig,
     ValidationError,
     build_glht,
     cross_terms,
@@ -29,7 +31,13 @@ from mfdglht import (
 )
 from mfdglht.glht import ContrastSpec, hn_matrix
 from mfdglht.moments import OmegaHat, inv_sqrt_spd
-from mfdglht.simulate import basis_functions, lambda_grid, scalar_basis
+from mfdglht.simulate import (
+    basis_functions,
+    component_stream_basis,
+    component_weights,
+    lambda_grid,
+    scalar_basis,
+)
 from oracles import dense_trace_integrals, ustat_within_naive
 
 
@@ -233,7 +241,7 @@ def test_k4_gaussian_matches_exact_finite_sample_mean():
     # the factor (n-1)/n, so by the Isserlis identity its exact mean under
     # a fixed standardization is -(I* + T* + tr(Sigma*^2)) / n. The Monte
     # Carlo mean must match that value, not zero.
-    from mfdglht.simulate import component_stream_basis, component_stream_lambdas
+    from mfdglht.simulate import component_stream_lambdas
 
     p, m, n, q = 2, 8, 8, 3
     grid = make_uniform_grid(m, 0.0, 1.0)
@@ -760,19 +768,38 @@ def test_true_dof_single_group_ratio():
     assert td.d_e == pytest.approx(td.d_b * (n - 1), rel=1e-12)
 
 
-def test_true_dof_dense_matches_separable(monkeypatch):
-    grid = make_uniform_grid(9, 0.0, 1.0)
+def _nonuniform_grid(m, seed):
+    inner = np.sort(np.random.default_rng(seed).uniform(0.0, 1.0, m - 2))
+    return Grid(np.r_[0.0, inner, 1.0], 0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "grid, stream, q, p, k",
+    [
+        (make_uniform_grid(9, 0.0, 1.0), False, 4, 2, 2),
+        (make_uniform_grid(12, 0.0, 1.0), True, 3, 6, 4),
+        (_nonuniform_grid(11, 3), False, 3, 3, 3),
+    ],
+    ids=["random", "component-stream-p6", "nonuniform-grid"],
+)
+def test_true_dof_dense_matches_separable(grid, stream, q, p, k, monkeypatch):
+    # A random basis of q terms, or the component-stream basis with a random
+    # variance per (term, component).
     w = quad_weights(grid)
     rng = np.random.default_rng(14)
-    q, p, k = 4, 2, 2
-    basis = rng.normal(size=(q, p, grid.m))
-    lam = rng.uniform(0.5, 2.0, size=(k, q))
+    if stream:
+        basis = component_stream_basis(p, q, grid)
+        lam = rng.uniform(0.5, 2.0, size=(k, q * p))
+    else:
+        basis = rng.normal(size=(q, p, grid.m))
+        lam = rng.uniform(0.5, 2.0, size=(k, q))
     sep = SeparableCovariances(lam, basis)
     dense = [
         np.einsum("r,rps,rqt->pqst", lam[i], basis, basis) for i in range(k)
     ]
-    hn = hn_matrix(oneway_contrast(2).c, [6, 7])
-    td_sep = true_dof(sep, [6, 7], hn, w)
+    n = [6, 7, 8, 9][:k]
+    hn = hn_matrix(oneway_contrast(k).c, n)
+    td_sep = true_dof(sep, n, hn, w)
     for inv_sqrt in (None, inv_sqrt_spd(td_sep.omega)):
         separable = separable_trace_integrals(lam, basis, w, inv_sqrt=inv_sqrt)
         for got, want in zip(separable, dense_trace_integrals(dense, w, inv_sqrt)):
@@ -782,9 +809,49 @@ def test_true_dof_dense_matches_separable(monkeypatch):
         "mfdglht.dof.separable_trace_integrals",
         lambda lambdas, basis, w, inv_sqrt=None: dense_trace_integrals(dense, w, inv_sqrt),
     )
-    td_dense = true_dof(sep, [6, 7], hn, w)
+    td_dense = true_dof(sep, n, hn, w)
     assert td_sep.d_b == pytest.approx(td_dense.d_b, rel=1e-9)
     assert td_sep.d_e == pytest.approx(td_dense.d_e, rel=1e-9)
+
+
+@pytest.mark.parametrize("m", [20, 1000])
+def test_true_dof_closed_forms_on_component_stream_basis(m):
+    # The trapezoid rule integrates the basis' low-frequency trig products
+    # exactly on a uniform grid. With Lambda_i = sum_r lambda_ir and
+    # kappa = sum_i (h_ii / n_i) Lambda_i, Omega = kappa diag(c^2), so the
+    # standardized basis is e_l psi_r / sqrt(kappa) and every functional
+    # has a closed form. Run at the long-grid benchmark setting.
+    cfg = SimConfig(n=(40, 40, 60, 60), m=m, scenario="S2", contrast=((1.0, -3.0, 0.0, 2.0),))
+    p, grid = cfg.p, cfg.grid()
+    lam = lambda_grid(cfg.nus(), cfg.rho, cfg.q)
+    hn = hn_matrix(cfg.contrast_spec().c, cfg.n)
+    sep = SeparableCovariances(np.repeat(lam, p, axis=1), component_stream_basis(p, cfg.q, grid))
+    td = true_dof(sep, cfg.n, hn, quad_weights(grid))
+    kappa = np.sum(np.diag(hn) / np.array(cfg.n) * lam.sum(axis=1))
+    lam_gram = lam @ lam.T / kappa**2
+    np.testing.assert_allclose(td.omega, kappa * np.diag(component_weights(p) ** 2),
+                               rtol=1e-12, atol=0)
+    np.testing.assert_allclose(td.i_star, p**2 * lam_gram, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(td.t_star, p * lam_gram, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(td.tr_sigma2_star, p * lam.sum(axis=1) ** 2 / kappa**2,
+                               rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize(
+    "change, match",
+    [
+        ({"lambdas": [[1.0, -0.5, 1.0], [1.0, 1.0, 1.0]]}, "nonnegative"),
+        ({"lambdas": np.ones((2, 4))}, "number of terms"),
+        ({"w": quad_weights(make_uniform_grid(6, 0.0, 1.0))}, "quadrature weights"),
+        ({"inv_sqrt": np.eye(3)}, "inv_sqrt"),
+    ],
+    ids=["negative-lambdas", "term-count", "weights-length", "inv-sqrt-shape"],
+)
+def test_separable_trace_integrals_rejects_bad_inputs(change, match):
+    grid = make_uniform_grid(5, 0.0, 1.0)
+    args = {"lambdas": np.ones((2, 3)), "basis": np.ones((3, 2, grid.m)), "w": quad_weights(grid)}
+    with pytest.raises(ValidationError, match=match):
+        separable_trace_integrals(**(args | change))
 
 
 def test_true_dof_rejects_dense_kernels():
