@@ -1,6 +1,14 @@
 """Finite-sample general linear hypothesis tests for multivariate functional data."""
 
-from .dataset import FunctionalDataset, GroupSample, load_csv, validate, write_csv
+from .dataset import (
+    FunctionalDataset,
+    GroupSample,
+    load_c0_csv,
+    load_contrast_csv,
+    load_csv,
+    validate,
+    write_csv,
+)
 from .dof import (
     DofEstimate,
     SeparableCovariances,
@@ -46,8 +54,6 @@ from .glht import (
     build_glht,
     e_matrix,
     hn_matrix,
-    load_c0_csv,
-    load_contrast_csv,
     oneway_contrast,
 )
 from .grid import Grid, QuadWeights, make_uniform_grid, quad_weights

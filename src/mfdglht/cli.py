@@ -18,10 +18,10 @@ import sys
 
 import numpy as np
 
-from .dataset import load_csv
+from .dataset import load_c0_csv, load_contrast_csv, load_csv
 from .errors import DegeneracyError, InputError, MfdGlhtError
 from .fstats import STATISTIC_NAMES, run_glht
-from .glht import ContrastSpec, load_c0_csv, load_contrast_csv
+from .glht import ContrastSpec
 from .simulate import are_metric, load_config_file, size_power_study
 
 EXIT_OK = 0

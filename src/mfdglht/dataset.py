@@ -1,9 +1,10 @@
-"""Ingestion and validation of multivariate functional samples.
+"""Ingestion and validation of multivariate functional samples; the one CSV reader.
 
 A dataset holds ``k`` independent groups of discretized p-dimensional
 curves observed on one shared grid. The on-disk format is a long (tidy)
 CSV with header ``group,obs,component,time_index,value``; indices are
-1-based in files and 0-based in memory.
+1-based in files and 0-based in memory. The contrast and C0 files share
+its grammar and fault messages (``_read_rows``, ``_row_fault``).
 """
 
 from __future__ import annotations
@@ -20,9 +21,12 @@ import numpy as np
 from .errors import IngestionError, ValidationError
 from .grid import Grid, make_uniform_grid
 
-__all__ = ["GroupSample", "FunctionalDataset", "load_csv", "write_csv", "validate"]
+__all__ = ["GroupSample", "FunctionalDataset", "load_csv", "write_csv", "validate",
+           "load_contrast_csv", "load_c0_csv"]
 
 CSV_HEADER = ("group", "obs", "component", "time_index", "value")
+CONTRAST_HEADER = ("row", "col", "value")
+C0_HEADER = ("row", "component", "time_index", "value")
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 _INT64_MAX = np.iinfo(np.int64).max
 
@@ -125,7 +129,7 @@ def _parse(lines, dtype) -> np.ndarray:
     return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
 
 
-def _read_chunk(chunk: list[str], first: int, dtype, header, row_fault):
+def _read_chunk(chunk: list[str], first: int, dtype, header):
     """Parse a chunk of raw lines, the first of them line ``first``, into its
     records and the message naming its first index below 1, if any.
 
@@ -153,13 +157,13 @@ def _read_chunk(chunk: list[str], first: int, dtype, header, row_fault):
         with contextlib.suppress(ValueError):
             _parse((line for _, line in pairs), dtype)
         line_no, line = content[-1 - len(list(pairs))]
-        raise IngestionError(row_fault(line, line_no, header) or f"line {line_no}: malformed row")
+        raise IngestionError(_row_fault(line, line_no, header) or f"line {line_no}: malformed row")
     cells = records["cell"]
     row, col = np.argwhere(cells < 1)[0]
     return records, f"line {content[row][0]}: {header[col]} must be >= 1, got {cells[row, col]}"
 
 
-def _read_rows(source, header: tuple[str, ...], row_fault) -> tuple[np.ndarray, np.ndarray]:
+def _read_rows(source, header: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Parse a long CSV into ``(cells, values)``, one row per data line.
 
     ``header`` names the columns: integer indices, then one float column.
@@ -168,9 +172,7 @@ def _read_rows(source, header: tuple[str, ...], row_fault) -> tuple[np.ndarray, 
     header (case-insensitive). Indices must be base-10 integers >= 1 and
     values decimal floats, ``inf`` or ``nan``. ``cells`` is an int64 array
     with one column per index, ``values`` a float64 vector; both may be
-    empty. For a line the parser rejects, ``row_fault(line, line_no,
-    header)`` returns the message that names its fault, or None to report
-    the line as malformed.
+    empty. A line the parser rejects is named by ``_row_fault``.
 
     The lines after the header reach the parser raw, ``CHUNK_LINES`` at a
     time; only a chunk it rejects is filtered line by line (``_read_chunk``).
@@ -188,7 +190,7 @@ def _read_rows(source, header: tuple[str, ...], row_fault) -> tuple[np.ndarray, 
             raise IngestionError(f"line {line_no}: expected header {','.join(header)!r}")
         below = None
         while chunk := list(itertools.islice(stream, CHUNK_LINES)):
-            part, fault = _read_chunk(chunk, line_no + 1, dtype, header, row_fault)
+            part, fault = _read_chunk(chunk, line_no + 1, dtype, header)
             # Grown by realloc, so the rows are never held twice (as a list of parts would).
             records.resize(len(records) + len(part), refcheck=False)
             records[len(records) - len(part):] = part
@@ -232,6 +234,50 @@ def _row_fault(line: str, line_no: int, header: tuple[str, ...]) -> str | None:
     return None
 
 
+def _load_cells(source, header, what: str, limits, shape, where: str) -> np.ndarray:
+    """Read a CSV of 1-based cells into a dense array; a cell left out stays zero.
+
+    Every index is checked against its bound in ``limits`` (None: unbounded)
+    before any array is sized. ``shape`` gives each axis's length, None the
+    largest index in the file. ``what`` names the file, ``where`` the bounds.
+    """
+    cells, values = _read_rows(source, header)
+    if not len(values):
+        raise IngestionError(f"{what} file has no data rows")
+    unique, counts = np.unique(cells, axis=0, return_counts=True)
+    if np.any(counts > 1):
+        raise IngestionError(f"duplicate cell {_cell_label(header, unique[counts > 1][0])}")
+    bound = [_INT64_MAX if limit is None else limit for limit in limits]
+    outside = np.flatnonzero(np.any(cells > bound, axis=1))
+    if outside.size:
+        label = _cell_label(header, cells[outside[0]])
+        raise IngestionError(f"{what} cell {label} outside {where}")
+    top = cells.max(axis=0)
+    dense = np.zeros([int(hi) if size is None else size for size, hi in zip(shape, top)])
+    dense[tuple((cells - 1).T)] = values
+    return dense
+
+
+def load_contrast_csv(source, k: int | None = None) -> np.ndarray:
+    """Read a contrast matrix from CSV with header ``row,col,value`` (1-based).
+
+    With ``k``, the dataset's group count, every row and column index must be
+    at most k and the matrix has k columns; pass it for files from outside the
+    program, whose indices would otherwise size the matrix unchecked.
+    """
+    return _load_cells(source, CONTRAST_HEADER, "contrast", (k, k), (None, k),
+                       f"a contrast of k={k} groups (row and col at most k)")
+
+
+def load_c0_csv(source, p: int, m: int, q: int) -> np.ndarray:
+    """Read C0 curves, shape (q, p, m), from CSV with header
+    ``row,component,time_index,value``; rows are bounded by ``q``, the
+    contrast's row count, components by ``p`` and time indices by ``m``.
+    """
+    return _load_cells(source, C0_HEADER, "C0", (q, p, m), (q, p, m),
+                       f"dataset shape (q={q}, p={p}, m={m})")
+
+
 def _group_values(gi: int, cells: np.ndarray, values: np.ndarray, m: int) -> np.ndarray:
     """Scatter one group's (obs, component, time_index) cells into an (n_obs, p, m) array.
 
@@ -268,7 +314,7 @@ def load_csv(source, a: float = 0.0, b: float = 1.0) -> FunctionalDataset:
     Every (group, obs, component, time_index) cell must be present
     exactly once.
     """
-    cells, values = _read_rows(source, CSV_HEADER, _row_fault)
+    cells, values = _read_rows(source, CSV_HEADER)
     if not len(values):
         raise IngestionError("no data rows")
     non_finite = np.flatnonzero(~np.isfinite(values))

@@ -357,8 +357,12 @@ class SeparableCovariances:
             raise ValidationError("basis must have shape (q, p, m)")
         if lam.shape[1] != basis.shape[0]:
             raise ValidationError("lambdas and basis disagree on the number of terms")
+        if not np.all(np.isfinite(lam)):
+            raise ValidationError("variance components must be finite")
         if np.any(lam < 0):
             raise ValidationError("variance components must be nonnegative")
+        if not np.all(np.isfinite(basis)):
+            raise ValidationError("basis values must be finite")
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from .errors import (
 )
 from .glht import ContrastSpec, _Design, _prepare
 from .grid import quad_weights
-from .moments import _spd_inv_sqrt
+from .moments import _equilibrated_inv_sqrt
 
 __all__ = [
     "TestStatistics",
@@ -56,8 +56,8 @@ __all__ = [
 STATISTIC_NAMES = ("mfw", "mflh", "mfp")
 
 # Eigenvalue ratio at which ``statistics`` counts M2 scaled to unit diagonal as
-# singular. That scaling leaves any Omega-hat that passed inv_sqrt_spd's 1e-10
-# above 1e-10 / p (van der Sluis): no test's M2 fails it while p < 1000.
+# singular. A test's M2 is d_e times the pooled matrix, whose unit-diagonal
+# scaling already passed PD_REL_TOL = 1e-10, so no test's M2 fails it.
 M2_REL_TOL = 1e-13
 
 
@@ -173,10 +173,10 @@ def statistics(m1: np.ndarray, m2: np.ndarray) -> TestStatistics:
 
     All three are functions of the eigenvalues theta of M2^{-1} M1: Wilks
     is prod 1/(1 + theta), Lawley-Hotelling sum theta, Pillai sum
-    theta/(1 + theta). M2 scaled to unit diagonal is factored by
-    ``moments._spd_inv_sqrt``. An error matrix with a nonpositive diagonal
-    entry fails fast, as does one singular to working precision once
-    scaled; a negative theta means M1 is not positive semidefinite.
+    theta/(1 + theta). M2 is factored by ``moments._equilibrated_inv_sqrt``,
+    as the pooled matrix is: an error matrix with a nonpositive diagonal
+    entry fails fast, as does one singular to working precision once scaled
+    to unit diagonal; a negative theta means M1 is not positive semidefinite.
     """
     m1 = np.asarray(m1, dtype=np.float64)
     m2 = np.asarray(m2, dtype=np.float64)
@@ -186,14 +186,10 @@ def statistics(m1: np.ndarray, m2: np.ndarray) -> TestStatistics:
     m2 = (m2 + m2.T) / 2.0
     if not (np.isfinite(m1).all() and np.isfinite(m2).all()):
         raise ValidationError("M1 and M2 must be finite")
-    diag = m2.diagonal()
-    if (diag <= 0).any():
-        raise SingularErrorMatrixError("error matrix M2 is not positive definite")
-    scale = 1.0 / np.sqrt(diag)
     try:
-        root = _spd_inv_sqrt(m2 * (scale[:, None] * scale), M2_REL_TOL) * scale
+        root = _equilibrated_inv_sqrt(m2, M2_REL_TOL)
     except NotPositiveDefiniteError as exc:
-        raise SingularErrorMatrixError("error matrix M2 is numerically singular") from exc
+        raise SingularErrorMatrixError("error matrix M2 is not positive definite") from exc
     return TestStatistics(*_functionals(_theta(root, m1)), m1=m1, m2=m2)
 
 

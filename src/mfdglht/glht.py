@@ -15,7 +15,8 @@ read. A group whose column of C is
 zero has zero weight in H, B and E, so the one preparation pass over a
 dataset (``_prepare``) reads only the curves of the groups C touches: one
 Gram of the curves the hypothesis weighs is all the degrees of freedom
-read. ``build_glht`` is the design and that pass.
+read. ``build_glht`` is the design and that pass. The contrast and C0 files
+are read by ``dataset``.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .dataset import FunctionalDataset, _cell_label, _read_rows
-from .errors import ContrastRankError, IngestionError, SingularOmegaError, ValidationError
+from .dataset import FunctionalDataset
+from .errors import ContrastRankError, SingularOmegaError, ValidationError
 from .grid import QuadWeights
 from .moments import (
     MeanFunctions,
@@ -47,8 +48,6 @@ __all__ = [
     "e_matrix",
     "build_glht",
     "oneway_contrast",
-    "load_contrast_csv",
-    "load_c0_csv",
 ]
 
 RANK_REL_TOL = 1e-10
@@ -309,71 +308,3 @@ def build_glht(ds: FunctionalDataset, spec: ContrastSpec, w: QuadWeights) -> Glh
     # E equals the pooled matrix term for term, so it is not summed a second time.
     return GlhtMatrices(hn=design.hn, bn=bn, en=omega.omega, omega=omega, standardized=curves,
                         touched=tuple(design.touched.tolist()))
-
-
-CONTRAST_HEADER = ("row", "col", "value")
-C0_HEADER = ("row", "component", "time_index", "value")
-
-
-def _field_count_fault(line: str, line_no: int, header: tuple[str, ...]) -> str | None:
-    """Name a wrong field count; the reader reports any other fault as a malformed row."""
-    if len(line.split(",")) != len(header):
-        return f"line {line_no}: expected {len(header)} fields"
-    return None
-
-
-def _reject_duplicates(cells: np.ndarray, header: tuple[str, ...]) -> None:
-    unique, counts = np.unique(cells, axis=0, return_counts=True)
-    if np.any(counts > 1):
-        raise IngestionError(f"duplicate cell {_cell_label(header, unique[counts > 1][0])}")
-
-
-def _reject_outside(cells: np.ndarray, header: tuple[str, ...], limits: dict, what: str,
-                    where: str) -> None:
-    """Raise ``IngestionError`` for the first cell with an index above its limit in
-    ``limits`` (keyed by column name); run before the indices size a dense array."""
-    bound = [limits.get(name, np.iinfo(np.int64).max) for name in header[:-1]]
-    outside = np.flatnonzero(np.any(cells > bound, axis=1))
-    if outside.size:
-        label = _cell_label(header, cells[outside[0]])
-        raise IngestionError(f"{what} cell {label} outside {where}")
-
-
-def load_contrast_csv(source, k: int | None = None) -> np.ndarray:
-    """Read a contrast matrix from CSV with header ``row,col,value`` (1-based).
-
-    With ``k``, the dataset's group count, every row and column index must be
-    at most k and the matrix has k columns; pass it for files from outside the
-    program, whose indices would otherwise size the matrix unchecked.
-    """
-    cells, values = _read_rows(source, CONTRAST_HEADER, _field_count_fault)
-    if not len(values):
-        raise IngestionError("contrast file has no data rows")
-    _reject_duplicates(cells, CONTRAST_HEADER)
-    if k is not None:
-        _reject_outside(cells, CONTRAST_HEADER, {"row": k, "col": k}, "contrast",
-                        f"a contrast of k={k} groups (row and col at most k)")
-    c = np.zeros((cells[:, 0].max(), k or cells[:, 1].max()))
-    c[tuple((cells - 1).T)] = values
-    return c
-
-
-def load_c0_csv(source, p: int, m: int, q: int | None = None) -> np.ndarray:
-    """Read C0 curves from CSV with header ``row,component,time_index,value``.
-
-    Components are bounded by ``p`` and time indices by ``m``; with ``q``,
-    the contrast's row count, the rows are bounded too and C0 has q rows.
-    """
-    cells, values = _read_rows(source, C0_HEADER, _field_count_fault)
-    if not len(values):
-        raise IngestionError("C0 file has no data rows")
-    _reject_duplicates(cells, C0_HEADER)
-    limits = {"component": p, "time_index": m}
-    shape = f"p={p}, m={m}"
-    if q is not None:
-        limits["row"] = q
-        shape = f"q={q}, {shape}"
-    _reject_outside(cells, C0_HEADER, limits, "C0", f"dataset shape ({shape})")
-    c0 = np.zeros((q or cells[:, 0].max(), p, m))
-    c0[tuple((cells - 1).T)] = values
-    return c0

@@ -5,8 +5,10 @@ the group mean and scaled by the square roots of the quadrature weights.
 An integrated covariance is a p x p reduction of those curves, so the full
 covariance kernel is never formed. The pooled matrix combines the per-group
 integrated covariances with the diagonal of the hypothesis weighting
-matrix; its symmetric inverse square root standardizes the prepared curves.
-``_spd_inv_sqrt`` is the one routine that factors a positive-definite matrix.
+matrix. Its inverse square root, taken with the matrix scaled to unit
+diagonal so that no unit of a component decides singularity, standardizes
+the prepared curves. ``_spd_inv_sqrt`` is the one routine that factors a
+positive-definite matrix.
 """
 
 from __future__ import annotations
@@ -54,7 +56,8 @@ class MeanFunctions:
 
 @dataclass(frozen=True)
 class OmegaHat:
-    """Pooled SPD matrix with its symmetric inverse square root."""
+    """Pooled SPD matrix Omega and an inverse square root S with S Omega S^T = I
+    (so S^T S = Omega^{-1}); S is not symmetric in general."""
 
     omega: np.ndarray
     inv_sqrt: np.ndarray
@@ -123,6 +126,17 @@ def _spd_inv_sqrt(sym: np.ndarray, rel_tol: float = PD_REL_TOL) -> np.ndarray:
     return (eigvecs / np.sqrt(eigvals)) @ eigvecs.T
 
 
+def _equilibrated_inv_sqrt(sym: np.ndarray, rel_tol: float) -> np.ndarray:
+    """S with S sym S^T = I: the root of ``sym`` scaled to unit diagonal, its
+    columns divided by the square roots of sym's diagonal, which must be
+    positive; the eigenvalue test sees the scaled matrix."""
+    diag = sym.diagonal()
+    if not (diag > 0).all():  # NaN included
+        raise NotPositiveDefiniteError("matrix has a diagonal entry that is not positive")
+    scale = 1.0 / np.sqrt(diag)
+    return _spd_inv_sqrt(sym * (scale[:, None] * scale), rel_tol) * scale
+
+
 def inv_sqrt_spd(a: np.ndarray) -> np.ndarray:
     """Symmetric inverse square root of an SPD matrix via eigendecomposition.
 
@@ -147,10 +161,10 @@ def _pooled(sigmas: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def _omega(omega: np.ndarray) -> OmegaHat:
-    """The pooled matrix with its inverse square root; ``SingularOmegaError``
-    when it is numerically singular."""
+    """The pooled matrix with its equilibrated inverse square root;
+    ``SingularOmegaError`` when it is numerically singular."""
     try:
-        inv_sqrt = _spd_inv_sqrt(omega)
+        inv_sqrt = _equilibrated_inv_sqrt(omega, PD_REL_TOL)
     except NotPositiveDefiniteError as exc:
         raise SingularOmegaError(
             "pooled covariance matrix is numerically singular; collect more "

@@ -73,7 +73,7 @@ def dense_trace_integrals(gammas, w, inv_sqrt=None):
     """
     kernels = [np.asarray(g, dtype=np.float64) for g in gammas]
     if inv_sqrt is not None:
-        kernels = [np.einsum("ha,abst,bl->hlst", inv_sqrt, g, inv_sqrt) for g in kernels]
+        kernels = [np.einsum("ha,abst,lb->hlst", inv_sqrt, g, inv_sqrt) for g in kernels]
     wv = w.weights
     k = len(kernels)
     traces = [np.einsum("hhst->st", g) for g in kernels]

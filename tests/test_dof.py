@@ -591,6 +591,52 @@ def test_run_glht_affine_invariance_at_large_magnitudes(case):
     assert summary(mapped) == pytest.approx(base, rel=1e-8)
 
 
+def _null_summary(curves, m):
+    report = run_glht(dataset_from(curves, m=m), oneway_contrast(len(curves)))
+    return [report.dof.d_b, report.dof.d_e] + [
+        report.p_values[name] for name in ("mfw", "mflh", "mfp")
+    ]
+
+
+@st.composite
+def component_scale_cases(draw):
+    """A small null dataset and a map x -> D R x + b(t): R orthogonal, D a
+    diagonal of scales 10^U(-12, 12) and the shift about 1e3 D."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k, p, m = draw(st.integers(2, 3)), draw(st.integers(2, 3)), draw(st.integers(3, 8))
+    groups = [rng.normal(size=(draw(st.integers(4, 7)), p, m)) for _ in range(k)]
+    scales = 10.0 ** rng.uniform(-12.0, 12.0, size=p)
+    # R acts before D: a map that mixed the components after scaling them would
+    # round the small ones away in the sums, and no method could recover them.
+    a = scales[:, None] * np.linalg.qr(rng.normal(size=(p, p)))[0]
+    shift = 1e3 * scales[:, None] * rng.uniform(-1, 1, size=(p, m))
+    return groups, a, shift
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=component_scale_cases())
+def test_run_glht_invariant_to_component_scales(case):
+    # The whitening factors the pooled matrix scaled to unit diagonal, so its
+    # singularity test does not see the units of the components.
+    groups, a, shift = case
+    m = groups[0].shape[2]
+    mapped = [np.einsum("pq,jqt->jpt", a, g) + shift for g in groups]
+    try:
+        base = _null_summary(groups, m)
+    except MfdGlhtError as exc:
+        with pytest.raises(type(exc)):
+            _null_summary(mapped, m)
+        return
+    assert _null_summary(mapped, m) == pytest.approx(base, rel=1e-8)
+
+
+def test_run_glht_components_scaled_by_decades():
+    rng = np.random.default_rng(7)
+    groups = [rng.normal(size=(8, 3, 20)) for _ in range(3)]
+    scaled = [g * np.array([1e-3, 1.0, 1e3])[:, None] for g in groups]
+    assert _null_summary(scaled, 20) == pytest.approx(_null_summary(groups, 20), rel=1e-10)
+
+
 @st.composite
 def relabel_cases(draw):
     """A dataset with unequal group sizes, a contrast, and a relabeling of both."""
@@ -844,8 +890,11 @@ def test_true_dof_closed_forms_on_component_stream_basis(m):
         ({"lambdas": np.ones((2, 4))}, "number of terms"),
         ({"w": quad_weights(make_uniform_grid(6, 0.0, 1.0))}, "quadrature weights"),
         ({"inv_sqrt": np.eye(3)}, "inv_sqrt"),
+        ({"lambdas": [[np.nan, 1.0, 1.0], [1.0, 1.0, 1.0]]}, "variance components must be finite"),
+        ({"basis": np.full((3, 2, 5), np.inf)}, "basis values must be finite"),
     ],
-    ids=["negative-lambdas", "term-count", "weights-length", "inv-sqrt-shape"],
+    ids=["negative-lambdas", "term-count", "weights-length", "inv-sqrt-shape", "nan-lambdas",
+         "inf-basis"],
 )
 def test_separable_trace_integrals_rejects_bad_inputs(change, match):
     grid = make_uniform_grid(5, 0.0, 1.0)

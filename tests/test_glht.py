@@ -229,7 +229,7 @@ def test_contrast_csv_loading():
 
 def test_c0_csv_loading():
     csv = "row,component,time_index,value\n1,1,1,0.5\n1,2,3,-0.25\n"
-    c0 = load_c0_csv(csv, p=2, m=3)
+    c0 = load_c0_csv(csv, p=2, m=3, q=1)
     assert c0.shape == (1, 2, 3)
     assert c0[0, 0, 0] == 0.5
     assert c0[0, 1, 2] == -0.25
@@ -238,14 +238,16 @@ def test_c0_csv_loading():
 def test_contrast_and_c0_files_skip_blank_and_comment_lines():
     c = load_contrast_csv("# c\nrow,col,value\n\n   \n  # indented\n1,1,1\n\t\n1,4,-1\n")
     assert c.tolist() == [[1.0, 0.0, 0.0, -1.0]]
-    c0 = load_c0_csv("row,component,time_index,value\n  # note\n1,2,3,-0.25\n", p=2, m=3)
+    c0 = load_c0_csv("row,component,time_index,value\n  # note\n1,2,3,-0.25\n", p=2, m=3, q=1)
     assert c0[0, 1, 2] == -0.25 and np.count_nonzero(c0) == 1
 
 
 CONTRAST_CSV_ERRORS = [
-    ("row,col,value\n1,1\n", "line 2: expected 3 fields"),
-    ("row,col,value\n\n1,x,1\n", "line 3: malformed row"),
-    ("row,col,value\n1,1,1 # note\n", "line 2: malformed row"),
+    ("row,col,value\n1,1\n", "line 2: expected 3 fields, got 2"),
+    ("row,col,value\n\n1,x,1\n", "line 3: col 'x' is not an integer"),
+    ("row,col,value\n1,1,1 # note\n", "line 2: value '1 # note' is not a number"),
+    ("row,col,value\n1,1,1\n1.0,2,-1\n", "line 3: row '1.0' is not an integer"),
+    ("row,col,value\n1,1,1\n1,2,1_0\n", "line 3: value '1_0' is not a number"),
     ("row,col,value\n1,1,1\n1,1,2\n", "duplicate cell (row=1, col=1)"),
     ("row,col,value\n# c\n", "contrast file has no data rows"),
     ("# c\nrow,column,value\n1,1,1\n", "line 2: expected header 'row,col,value'"),
@@ -305,13 +307,15 @@ def test_bounds_size_sparse_contrast_and_c0():
 
 
 C0_CSV_ERRORS = [
-    ("1,1,1\n", "line 2: expected 4 fields"),
-    ("1,1,1.5,1\n", "line 2: malformed row"),
+    ("1,1,1\n", "line 2: expected 4 fields, got 3"),
+    ("1,1,1.5,1\n", "line 2: time_index '1.5' is not an integer"),
+    ("1,1,1,1\n1,c,1,1\n", "line 3: component 'c' is not an integer"),
+    ("1,1,1,1\n1,1,2,1e\n", "line 3: value '1e' is not a number"),
     ("1,1,1,1\n1,1,1,2\n", "duplicate cell (row=1, component=1, time_index=1)"),
     ("", "C0 file has no data rows"),
     (
         "1,3,1,1\n",
-        "C0 cell (row=1, component=3, time_index=1) outside dataset shape (p=2, m=3)",
+        "C0 cell (row=1, component=3, time_index=1) outside dataset shape (q=1, p=2, m=3)",
     ),
     ("\n0,1,1,1\n", "line 3: row must be >= 1, got 0"),
 ]
@@ -320,7 +324,7 @@ C0_CSV_ERRORS = [
 @pytest.mark.parametrize("text, message", C0_CSV_ERRORS)
 def test_c0_csv_errors(text, message):
     with pytest.raises(IngestionError) as info:
-        load_c0_csv("row,component,time_index,value\n" + text, p=2, m=3)
+        load_c0_csv("row,component,time_index,value\n" + text, p=2, m=3, q=1)
     assert str(info.value) == message
 
 

@@ -90,13 +90,19 @@ def test_omega_hat_reconstruction_random_spd():
     a = rng.normal(size=(4, 4))
     spd = a @ a.T + 4 * np.eye(4)
     out = omega_hat([spd], [2.0], [3])
-    assert np.allclose(out.inv_sqrt @ out.omega @ out.inv_sqrt, np.eye(4), atol=1e-10)
+    assert np.allclose(out.inv_sqrt @ out.omega @ out.inv_sqrt.T, np.eye(4), atol=1e-10)
 
 
 def test_omega_hat_singular_rejected():
     rank1 = np.outer([1.0, 2.0], [1.0, 2.0])
     with pytest.raises(SingularOmegaError):
         omega_hat([rank1], [1.0], [2])
+
+
+@pytest.mark.parametrize("entry", [0.0, -1.0, np.nan])
+def test_omega_hat_rejects_diagonal_entry_not_positive(entry):
+    with pytest.raises(SingularOmegaError):
+        omega_hat([np.diag([1.0, entry])], [1.0], [2])
 
 
 def test_omega_hat_congruence_bilinearity():
