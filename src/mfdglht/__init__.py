@@ -50,14 +50,18 @@ from .fstats import (
 from .glht import (
     ContrastSpec,
     GlhtMatrices,
+    OmegaHat,
     b_matrix,
     build_glht,
     e_matrix,
+    group_means,
     hn_matrix,
+    inv_sqrt_spd,
+    omega_hat,
     oneway_contrast,
+    sigma_hat,
 )
 from .grid import Grid, QuadWeights, make_uniform_grid, quad_weights
-from .moments import MeanFunctions, OmegaHat, group_means, inv_sqrt_spd, omega_hat, sigma_hat
 from .simulate import (
     SimConfig,
     StudyResult,

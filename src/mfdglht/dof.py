@@ -46,22 +46,23 @@ import numpy as np
 
 from . import _kernels
 from .dataset import FunctionalDataset
-from .errors import (
-    DegenerateDofError,
-    InsufficientReplicationError,
-    ValidationError,
-)
+from .errors import DegenerateDofError, ValidationError
 from .glht import (
+    _COVARIANCE_N,
+    _USTAT_N,
     ContrastSpec,
     GlhtMatrices,
+    OmegaHat,
+    _centered_weighted,
     _cross_scale,
     _Design,
     _design,
     _off_diagonal_weights,
     _prepare,
+    _require_sizes,
+    omega_hat,
 )
 from .grid import QuadWeights
-from .moments import OmegaHat, _centered_weighted, omega_hat
 
 __all__ = [
     "WithinGroupUStats",
@@ -108,23 +109,6 @@ class DofEstimate:
     @property
     def any_clamped(self) -> bool:
         return any(self.clamped_b) or any(self.clamped_e)
-
-
-def _require_replication(sizes: tuple[int, ...], groups) -> None:
-    for i in groups:
-        if sizes[i] < 4:
-            raise InsufficientReplicationError(
-                f"group {i + 1} has n={sizes[i]} observations; the distinct-index "
-                f"U-statistics require n >= 4"
-            )
-
-
-def _test_design(spec: ContrastSpec, sizes: tuple[int, ...], w: QuadWeights, p: int) -> _Design:
-    """The design of a test that estimates its degrees of freedom: ``_design``'s
-    checks, and n >= 4 in every group."""
-    design = _design(spec, sizes, w, p)
-    _require_replication(design.sizes, range(len(sizes)))
-    return design
 
 
 def _standardized_gram(ds: FunctionalDataset, groups, omega: OmegaHat, w: QuadWeights):
@@ -254,7 +238,7 @@ def ustat_within_fast(
     The same block reductions and ``_within_functionals`` that
     ``dof_estimates`` runs over every group it reads, on this group's Gram alone.
     """
-    _require_replication(ds.n, (i,))
+    _require_sizes(ds.n, (i,), *_USTAT_N)
     n_i = ds.n[i]
     gram = _standardized_gram(ds, (i,), omega, w)
     scalars = _kernels.within_group_scalars(_kernels.symmetric_block(gram, 0, n_i * ds.p), ds.p)
@@ -292,11 +276,7 @@ def cross_terms(
     """
     if i1 == i2:
         raise ValidationError("cross terms need two distinct groups; use the within path")
-    for i in (i1, i2):
-        if ds.n[i] < 2:
-            raise InsufficientReplicationError(
-                f"group {i + 1} needs n >= 2 observations for cross terms"
-            )
+    _require_sizes(ds.n, (i1, i2), *_COVARIANCE_N)
     split = ds.n[i1] * ds.p
     gram = _standardized_gram(ds, (i1, i2), omega, w)
     i_val, t_val = _kernels.pair_trace_integrals(gram[:split, split:], ds.p)
@@ -319,7 +299,7 @@ def dof_estimates(
     denominator contribution estimates a variance and is clamped at zero
     from below; clamping is reported per group in the result's diagnostics.
     """
-    design = _test_design(spec, ds.n, w, ds.p)
+    design = _design(spec, ds.n, w, ds.p, _USTAT_N)
     if glht is None:
         curves = _prepare(design, [ds.group_values(i) for i in design.touched])[2]
     elif glht.hn.shape != design.hn.shape or not np.allclose(

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import betainc
 
 from .dataset import FunctionalDataset
-from .dof import DofEstimate, _Dof, _dof, _dof_estimate, _test_design
+from .dof import DofEstimate, _Dof, _dof, _dof_estimate
 from .errors import (
     ApproximationUndefinedError,
     InputError,
@@ -36,9 +36,8 @@ from .errors import (
     SingularErrorMatrixError,
     ValidationError,
 )
-from .glht import ContrastSpec, _Design, _prepare
+from .glht import _USTAT_N, ContrastSpec, _Design, _design, _equilibrated_inv_sqrt, _prepare
 from .grid import quad_weights
-from .moments import _equilibrated_inv_sqrt
 
 __all__ = [
     "TestStatistics",
@@ -173,7 +172,7 @@ def statistics(m1: np.ndarray, m2: np.ndarray) -> TestStatistics:
 
     All three are functions of the eigenvalues theta of M2^{-1} M1: Wilks
     is prod 1/(1 + theta), Lawley-Hotelling sum theta, Pillai sum
-    theta/(1 + theta). M2 is factored by ``moments._equilibrated_inv_sqrt``,
+    theta/(1 + theta). M2 is factored by ``glht._equilibrated_inv_sqrt``,
     as the pooled matrix is: an error matrix with a nonpositive diagonal
     entry fails fast, as does one singular to working precision once scaled
     to unit diagonal; a negative theta means M1 is not positive semidefinite.
@@ -368,7 +367,7 @@ def run_glht(
     """Run all three tests end to end on one dataset and contrast."""
     if not (0.0 < alpha < 1.0):
         raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
-    design = _test_design(spec, ds.n, quad_weights(ds.grid), ds.p)
+    design = _design(spec, ds.n, quad_weights(ds.grid), ds.p, _USTAT_N)
     dof, m1, m2, theta = _dof_and_statistics(
         design, [ds.group_values(i) for i in design.touched]
     )

@@ -1,4 +1,4 @@
-"""Hypothesis machinery: contrast specs and the variation matrices.
+"""Hypothesis machinery: contrast specs, sample moments and the variation matrices.
 
 A general linear hypothesis on the k group mean curves is encoded by a
 full-rank q x k coefficient matrix C and a constant curve matrix C0(t)
@@ -6,6 +6,16 @@ full-rank q x k coefficient matrix C and a constant curve matrix C0(t)
 hypothesis variation matrix B (an integrated quadratic form in the
 contrasted group means), and the error variation matrix E (the pooled
 integrated covariance), whose expectations match under the null.
+
+Each group's curves are prepared once (``_centered_weighted``): centered by
+the group mean and scaled by the square roots of the quadrature weights.
+An integrated covariance is a p x p reduction of those curves, so the full
+covariance kernel is never formed. The pooled matrix combines the per-group
+integrated covariances with the diagonal of the hypothesis weighting
+matrix. Its inverse square root, taken with the matrix scaled to unit
+diagonal so that no unit of a component decides singularity, standardizes
+the prepared curves. ``_spd_inv_sqrt`` is the one routine that factors a
+positive-definite matrix.
 
 Everything that depends only on (C, C0), the group sizes, the grid and p
 is the test's design (``_design``), built once and shared by every dataset
@@ -27,32 +37,38 @@ from itertools import combinations
 import numpy as np
 
 from .dataset import FunctionalDataset
-from .errors import ContrastRankError, SingularOmegaError, ValidationError
-from .grid import QuadWeights
-from .moments import (
-    MeanFunctions,
-    OmegaHat,
-    _centered_weighted,
-    _integrated_covs,
-    _omega,
-    _pooled,
-    _require_covariance,
-    _spd_inv_sqrt,
+from .errors import (
+    ContrastRankError,
+    InsufficientReplicationError,
+    NotPositiveDefiniteError,
+    SingularOmegaError,
+    ValidationError,
 )
+from .grid import QuadWeights
 
 __all__ = [
     "ContrastSpec",
     "GlhtMatrices",
+    "OmegaHat",
     "hn_matrix",
     "b_matrix",
     "e_matrix",
     "build_glht",
     "oneway_contrast",
+    "group_means",
+    "sigma_hat",
+    "omega_hat",
+    "inv_sqrt_spd",
 ]
 
 RANK_REL_TOL = 1e-10
+PD_REL_TOL = 1e-10
 # Relative to the pooled squared mean curves: what rounding the values can leave.
 ROUNDING_REL_TOL = (64 * np.finfo(np.float64).eps) ** 2
+# The fewest curves a group needs, and why: for a covariance, and for the
+# distinct-index U-statistics that the degrees of freedom read.
+_COVARIANCE_N = (2, "a covariance requires")
+_USTAT_N = (4, "the distinct-index U-statistics require")
 
 
 @dataclass(frozen=True)
@@ -100,6 +116,15 @@ class ContrastSpec:
 
 
 @dataclass(frozen=True)
+class OmegaHat:
+    """Pooled SPD matrix Omega and an inverse square root S with S Omega S^T = I
+    (so S^T S = Omega^{-1}); S is not symmetric in general."""
+
+    omega: np.ndarray
+    inv_sqrt: np.ndarray
+
+
+@dataclass(frozen=True)
 class GlhtMatrices:
     """All matrices the tests consume for one dataset and contrast, and the
     standardized curves that the degrees of freedom read.
@@ -122,6 +147,43 @@ def oneway_contrast(k: int) -> ContrastSpec:
     if k < 2:
         raise ValidationError("one-way contrast needs k >= 2 groups")
     return ContrastSpec(np.hstack([np.eye(k - 1), -np.ones((k - 1, 1))]))
+
+
+def _spd_inv_sqrt(sym: np.ndarray, rel_tol: float = PD_REL_TOL) -> np.ndarray:
+    """``inv_sqrt_spd`` of a matrix already known to be square and symmetric."""
+    eigvals, eigvecs = np.linalg.eigh(sym)
+    if eigvals[-1] <= 0 or eigvals[0] <= rel_tol * eigvals[-1]:
+        raise NotPositiveDefiniteError(
+            f"matrix is not positive definite (eigenvalues {eigvals[0]:.3e} .. "
+            f"{eigvals[-1]:.3e}, relative tolerance {rel_tol:g})"
+        )
+    return (eigvecs / np.sqrt(eigvals)) @ eigvecs.T
+
+
+def _equilibrated_inv_sqrt(sym: np.ndarray, rel_tol: float) -> np.ndarray:
+    """S with S sym S^T = I: the root of ``sym`` scaled to unit diagonal, its
+    columns divided by the square roots of sym's diagonal, which must be
+    positive; the eigenvalue test sees the scaled matrix."""
+    diag = sym.diagonal()
+    if not (diag > 0).all():  # NaN included
+        raise NotPositiveDefiniteError("matrix has a diagonal entry that is not positive")
+    scale = 1.0 / np.sqrt(diag)
+    return _spd_inv_sqrt(sym * (scale[:, None] * scale), rel_tol) * scale
+
+
+def inv_sqrt_spd(a: np.ndarray) -> np.ndarray:
+    """Symmetric inverse square root of an SPD matrix via eigendecomposition.
+
+    Raises ``NotPositiveDefiniteError`` when any eigenvalue falls at or
+    below ``PD_REL_TOL`` times the largest one.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValidationError("expected a square matrix")
+    scale = np.max(np.abs(a)) if a.size else 0.0
+    if scale > 0 and np.max(np.abs(a - a.T)) > 1e-10 * scale:
+        raise ValidationError("matrix is not symmetric")
+    return _spd_inv_sqrt((a + a.T) / 2.0)
 
 
 def _contrast_roots(c: np.ndarray, n) -> tuple[np.ndarray, np.ndarray]:
@@ -174,15 +236,110 @@ def _bn(means: np.ndarray, factor: np.ndarray, offset: np.ndarray | None,
     return rows @ rows.T
 
 
-def b_matrix(
-    means: MeanFunctions, spec: ContrastSpec, w: QuadWeights, n
-) -> np.ndarray:
-    """Hypothesis variation matrix: integrated quadratic form in C M(t) - C0(t)."""
-    k, p, m = means.means.shape
+def b_matrix(means: np.ndarray, spec: ContrastSpec, w: QuadWeights, n) -> np.ndarray:
+    """Hypothesis variation matrix: integrated quadratic form in C M(t) - C0(t),
+    from the (k, p, m) group means of ``group_means``."""
+    means = np.asarray(means, dtype=np.float64)
+    if means.ndim != 3:
+        raise ValidationError("means must have shape (k, p, m)")
+    if not np.all(np.isfinite(means)):
+        raise ValidationError("mean functions must be finite")
+    k, p, m = means.shape
     if spec.k != k:
         raise ValidationError(f"contrast has {spec.k} columns but dataset has {k} groups")
     f, g = _contrast_roots(spec.c, n)
-    return _bn(means.means, f, _c0_offset(g, spec.c0, p, m), np.sqrt(w.weights))
+    return _bn(means, f, _c0_offset(g, spec.c0, p, m), np.sqrt(w.weights))
+
+
+def group_means(ds: FunctionalDataset) -> np.ndarray:
+    """Average curves within each group, shape (k, p, m); row i is the i-th group mean."""
+    return np.stack([g.values.mean(axis=0) for g in ds.groups])
+
+
+def _centered_weighted(values, sqrt_w: np.ndarray):
+    """Means of the groups ``values`` (a sequence of (n_i, p, m) arrays) and
+    their curves, centered by group and scaled by ``sqrt_w``, the square roots
+    of the quadrature weights, in one (N, p, m) array; centering keeps
+    offsets out of products."""
+    _, p, m = values[0].shape
+    means = np.empty((len(values), p, m))
+    curves = np.empty((sum(map(len, values)), p, m))
+    hi = 0
+    for group, mean in zip(values, means):
+        lo, hi = hi, hi + len(group)
+        # np.mean's own two steps, without its Python wrapper.
+        np.add.reduce(group, axis=0, out=mean)
+        mean /= hi - lo
+        rows = curves[lo:hi]
+        np.subtract(group, mean, out=rows)
+        rows *= sqrt_w
+    return means, curves
+
+
+def _require_sizes(sizes: tuple[int, ...], groups, minimum: int, reason: str) -> None:
+    """``InsufficientReplicationError`` naming the first of ``groups`` whose
+    size is below ``minimum``; ``reason`` says what needs that many curves."""
+    for i in groups:
+        if sizes[i] < minimum:
+            raise InsufficientReplicationError(
+                f"group {i + 1} has n={sizes[i]} observations; {reason} n >= {minimum}"
+            )
+
+
+def _integrated_covs(curves: np.ndarray, starts: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Integrated covariances, shape (len(n), p, p), from ``_centered_weighted``
+    curves: group g holds the n[g] >= 2 curves from ``starts[g]`` on."""
+    outer = np.matmul(curves, curves.transpose(0, 2, 1))
+    sigmas = np.add.reduceat(outer, starts, axis=0)
+    sigmas /= (n - 1)[:, None, None]
+    return (sigmas + sigmas.transpose(0, 2, 1)) / 2.0
+
+
+def sigma_hat(ds: FunctionalDataset, i: int, w: QuadWeights) -> np.ndarray:
+    """Integrated covariance of group ``i``: a symmetric PSD p x p matrix.
+
+    Requires at least two observations in the group.
+    """
+    _require_sizes(ds.n, (i,), *_COVARIANCE_N)
+    _, curves = _centered_weighted([ds.group_values(i)], np.sqrt(w.weights))
+    return _integrated_covs(curves, [0], np.array([ds.n[i]], dtype=np.float64))[0]
+
+
+def _pooled(sigmas: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The symmetrized sum_i weights_i sigma_i of a (k, p, p) stack; the
+    pooled matrix has weights h_ii / n_i."""
+    k, p, _ = sigmas.shape
+    pooled = (weights @ sigmas.reshape(k, p * p)).reshape(p, p)
+    return (pooled + pooled.T) / 2.0
+
+
+def _omega(omega: np.ndarray) -> OmegaHat:
+    """The pooled matrix with its equilibrated inverse square root;
+    ``SingularOmegaError`` when it is numerically singular."""
+    try:
+        inv_sqrt = _equilibrated_inv_sqrt(omega, PD_REL_TOL)
+    except NotPositiveDefiniteError as exc:
+        raise SingularOmegaError(
+            "pooled covariance matrix is numerically singular; collect more "
+            "observations or reduce the number of components"
+        ) from exc
+    return OmegaHat(omega=omega, inv_sqrt=inv_sqrt)
+
+
+def omega_hat(sigmas, h_diag, n) -> OmegaHat:
+    """Pooled matrix ``sum_i h_ii sigma_i / n_i`` and its inverse square root.
+
+    Groups the contrast does not touch have a zero diagonal weight and
+    simply contribute nothing.
+    """
+    h_diag = np.asarray(h_diag, dtype=np.float64)
+    n = np.asarray(n)
+    sigmas = np.asarray(sigmas, dtype=np.float64)
+    if not (len(sigmas) == h_diag.size == n.size):
+        raise ValidationError("sigmas, h_diag, and n must have the same length")
+    if np.any(h_diag < 0) or not np.any(h_diag > 0):
+        raise ValidationError("diagonal hypothesis weights must be nonnegative, some positive")
+    return _omega(_pooled(sigmas, h_diag / n))
 
 
 def e_matrix(sigmas, hn: np.ndarray, n) -> np.ndarray:
@@ -233,17 +390,20 @@ class _Design:
     h2: np.ndarray  # h_ii^2
 
 
-def _design(spec: ContrastSpec, sizes: tuple[int, ...], w: QuadWeights, p: int) -> _Design:
+def _design(spec: ContrastSpec, sizes: tuple[int, ...], w: QuadWeights, p: int,
+            min_n: tuple[int, str]) -> _Design:
     """The design of a test of ``spec`` on groups of ``sizes`` curves with p
     components on ``w``'s grid; checks that C has one column per group, that
-    C0 has the curves' shape and that every group has n >= 2."""
+    C0 has the curves' shape and that every group has at least the curves
+    ``min_n`` asks for: ``_COVARIANCE_N`` for the variation matrices alone,
+    ``_USTAT_N`` wherever the degrees of freedom are estimated."""
     if spec.k != len(sizes):
         raise ValidationError(f"contrast has {spec.k} columns but dataset has {len(sizes)} groups")
     m = w.weights.size
     f, g = _contrast_roots(spec.c, sizes)  # the one factorization that H and B share
     hn = f.T @ f
     offset = _c0_offset(g, spec.c0, p, m)
-    _require_covariance(sizes, range(len(sizes)))
+    _require_sizes(sizes, range(len(sizes)), *min_n)
     touched = np.flatnonzero(np.any(spec.c != 0, axis=0))
     n = np.array([sizes[i] for i in touched], dtype=np.float64)
     h_t = hn[np.ix_(touched, touched)]
@@ -303,7 +463,7 @@ def build_glht(ds: FunctionalDataset, spec: ContrastSpec, w: QuadWeights) -> Glh
     centered curves; the pooled inverse square root then standardizes those
     curves in place. Every group's size is still checked, read or not.
     """
-    design = _design(spec, ds.n, w, ds.p)
+    design = _design(spec, ds.n, w, ds.p, _COVARIANCE_N)
     bn, omega, curves = _prepare(design, [ds.group_values(i) for i in design.touched])
     # E equals the pooled matrix term for term, so it is not summed a second time.
     return GlhtMatrices(hn=design.hn, bn=bn, en=omega.omega, omega=omega, standardized=curves,

@@ -30,10 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import FunctionalDataset, GroupSample
-from .dof import _test_design
 from .errors import DegeneracyError, InputError, ValidationError
 from .fstats import STATISTIC_NAMES, _dof_and_statistics, _f_tests, _functionals
-from .glht import ContrastSpec, oneway_contrast
+from .glht import _USTAT_N, ContrastSpec, _design, oneway_contrast
 from .grid import Grid, make_uniform_grid, quad_weights
 
 __all__ = [
@@ -381,6 +380,9 @@ def sample_curves(
 def _setting_sampler(cfg: SimConfig):
     """``draw(seed)`` for one simulation setting; the setting's grid, mean
     curves, basis and variance components are built once, here."""
+    if cfg.k != 4:
+        raise ValidationError(f"the preset mean curves and variance components define "
+                              f"four groups; n has {cfg.k}")
     grid = cfg.grid()
     sampler = _component_sampler(
         grid,
@@ -411,7 +413,7 @@ def size_power_study(cfg: SimConfig) -> StudyResult:
     spec = cfg.contrast_spec()
     start = time.perf_counter()
     draw = _setting_sampler(cfg)
-    design = _test_design(spec, cfg.n, quad_weights(cfg.grid()), cfg.p)
+    design = _design(spec, cfg.n, quad_weights(cfg.grid()), cfg.p, _USTAT_N)
     touched = design.touched.tolist()
     rejections = {name: 0 for name in STATISTIC_NAMES}
     errors: dict[str, int] = {}
@@ -488,7 +490,7 @@ def permutation_pvalue(
         raise InputError("permutation test requires a pure contrast (C 1_k = 0)")
     if b < 99:
         raise InputError("use at least 99 permutations")
-    design = _test_design(spec, ds.n, quad_weights(ds.grid), ds.p)
+    design = _design(spec, ds.n, quad_weights(ds.grid), ds.p, _USTAT_N)
     values = [ds.group_values(i) for i in design.touched]
 
     def stat_value(groups) -> float:
@@ -511,6 +513,8 @@ def load_config_file(path) -> list[SimConfig]:
     The file holds either a single setting object or ``{"settings":
     [...]}`` where top-level keys act as defaults merged into every
     setting. A single setting is read as a one-entry list without defaults.
+    Every setting's sampler and test design are built here, so a setting
+    that cannot run fails before any study does.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -536,7 +540,10 @@ def load_config_file(path) -> list[SimConfig]:
         if unknown:
             raise InputError(f"setting {idx + 1}: unknown config keys {sorted(unknown)}")
         try:
-            configs.append(SimConfig(**merged))
-        except (TypeError, ValueError, ValidationError) as exc:
+            cfg = SimConfig(**merged)
+            _setting_sampler(cfg)
+            _design(cfg.contrast_spec(), cfg.n, quad_weights(cfg.grid()), cfg.p, _USTAT_N)
+        except (TypeError, ValueError, InputError) as exc:
             raise InputError(f"setting {idx + 1}: {exc}") from None
+        configs.append(cfg)
     return configs

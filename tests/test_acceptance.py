@@ -34,9 +34,10 @@ from mfdglht import (
     true_dof,
     ustat_within_fast,
 )
-from mfdglht.glht import ContrastSpec, hn_matrix
-from mfdglht.moments import OmegaHat, inv_sqrt_spd
+from mfdglht.glht import ContrastSpec, OmegaHat, hn_matrix, inv_sqrt_spd
 from mfdglht.simulate import (
+    N_PRESETS,
+    SCENARIO_NUS,
     component_stream_basis,
     component_stream_lambdas,
     sample_curves,
@@ -155,15 +156,13 @@ def test_criterion_06_fast_naive_equivalence():
     )
 
 
-def test_criterion_07_unbiasedness_suite():
-    start = time.perf_counter()
-    reps = 5000
-    k, p, q, m = 2, 2, 3, 20
-    n = (12, 12)
+def _unbiasedness(reps, p, q, m, n, nus, rho):
+    """Criterion 7 on one setting: every target's worst |z| and the failing targets."""
+    k = len(n)
     grid = make_uniform_grid(m, 0.0, 1.0)
     w = quad_weights(grid)
     basis = component_stream_basis(p, q, grid)
-    lam = component_stream_lambdas([1.5, 2.0], 0.5, q, p)
+    lam = component_stream_lambdas(nus, rho, q, p)
     spec = oneway_contrast(k)
     hn = hn_matrix(spec.c, n)
     td = true_dof(SeparableCovariances(lam, basis), n, hn, w)
@@ -219,25 +218,32 @@ def test_criterion_07_unbiasedness_suite():
         worst = max(worst, z)
         if z > 4.0:
             failing.append(f"{key}: mean {vals.mean():.5g} vs {target:.5g} (z={z:.2f})")
+    return len(targets), worst, failing
+
+
+def test_criterion_07_unbiasedness_suite():
+    start = time.perf_counter()
+    reps = 5000
+    count, worst, failing = _unbiasedness(reps, p=2, q=3, m=20, n=(12, 12), nus=[1.5, 2.0],
+                                          rho=0.5)
     elapsed = time.perf_counter() - start
     ok = not failing and elapsed < 600.0
     report(
         "criterion-7",
         ok,
-        f"{len(targets)} targets at R={reps}, worst |z| = {worst:.2f} <= 4"
+        f"{count} targets at R={reps}, worst |z| = {worst:.2f} <= 4"
         + (f"; failing: {failing}" if failing else "")
         + f"; elapsed {elapsed:.0f}s < 600s",
     )
 
 
-def test_criterion_08_total_variation_matching():
-    reps = 5000
-    k, p, q, m = 2, 2, 3, 20
-    n = (20, 20)
+def _total_variation_match(reps, p, q, m, n, nus, rho):
+    """Criterion 8 on one setting: V(B~), p(p+1)/d_B, V(E~) and p(p+1)/d_E."""
+    k = len(n)
     grid = make_uniform_grid(m, 0.0, 1.0)
     w = quad_weights(grid)
     basis = component_stream_basis(p, q, grid)
-    lam = component_stream_lambdas([1.5, 1.5], 0.5, q, p)
+    lam = component_stream_lambdas(nus, rho, q, p)
     spec = oneway_contrast(k)
     hn = hn_matrix(spec.c, n)
     td = true_dof(SeparableCovariances(lam, basis), n, hn, w)
@@ -256,10 +262,10 @@ def test_criterion_08_total_variation_matching():
         dev = mats - mats.mean(axis=0)
         return float(np.einsum("rij,rij->", dev, dev) / (mats.shape[0] - 1))
 
-    vb = total_variation(btil)
-    ve = total_variation(etil)
-    tb = p * (p + 1) / td.d_b
-    te = p * (p + 1) / td.d_e
+    return total_variation(btil), p * (p + 1) / td.d_b, total_variation(etil), p * (p + 1) / td.d_e
+
+
+def _report_total_variation(vb, tb, ve, te):
     ok = abs(vb - tb) <= 0.05 * tb and abs(ve - te) <= 0.05 * te
     report(
         "criterion-8",
@@ -268,6 +274,38 @@ def test_criterion_08_total_variation_matching():
         f"({100 * abs(vb - tb) / tb:.1f}%); "
         f"V(E~)={ve:.5f} vs p(p+1)/d_E={te:.5f} "
         f"({100 * abs(ve - te) / te:.1f}%) (tol 5%)",
+    )
+
+
+def test_criterion_08_total_variation_matching():
+    _report_total_variation(
+        *_total_variation_match(5000, p=2, q=3, m=20, n=(20, 20), nus=[1.5, 1.5], rho=0.5)
+    )
+
+
+# Table 1's shape: k=4, p=6, q=7, m=80 and the n3 sizes, model 1. The long
+# grid (m=1000) is left out: a replication there costs too much for Tier-1.
+TABLE1_SHAPE = dict(p=6, q=7, m=80, n=N_PRESETS["n3"])
+TABLE1_SCENARIOS = {"S1-rho0.1": ("S1", 0.1), "S2-rho0.5": ("S2", 0.5)}
+
+
+@pytest.mark.parametrize("scenario, rho", TABLE1_SCENARIOS.values(), ids=TABLE1_SCENARIOS)
+def test_criterion_07_unbiasedness_at_table1_shape(scenario, rho):
+    reps = 1000
+    count, worst, failing = _unbiasedness(reps, nus=SCENARIO_NUS[scenario], rho=rho,
+                                          **TABLE1_SHAPE)
+    report(
+        "criterion-7",
+        not failing,
+        f"{count} targets at R={reps}, worst |z| = {worst:.2f} <= 4"
+        + (f"; failing: {failing}" if failing else ""),
+    )
+
+
+@pytest.mark.parametrize("scenario, rho", TABLE1_SCENARIOS.values(), ids=TABLE1_SCENARIOS)
+def test_criterion_08_total_variation_matching_at_table1_shape(scenario, rho):
+    _report_total_variation(
+        *_total_variation_match(2000, nus=SCENARIO_NUS[scenario], rho=rho, **TABLE1_SHAPE)
     )
 
 

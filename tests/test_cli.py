@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mfdglht import FunctionalDataset, GroupSample, SimConfig, gen_sample, write_csv
+from mfdglht import cli
 from mfdglht.cli import main
 
 
@@ -341,6 +342,30 @@ def test_cmd_test_overflowing_values_exit_2(tmp_path, capsys):
 def write_small_config(path, **overrides):
     body = {"model": 1, "n": [5, 5, 5, 5], "rho": 0.5, "reps": 2, "seed": 8, **overrides}
     path.write_text(json.dumps(body))
+
+
+UNRUNNABLE = {
+    "p-not-6": ({"p": 3}, "the preset mean curves are defined for p = 6 only"),
+    "n-below-4": ({"n": [3, 3, 3, 3]}, "group 1 has n=3 observations"),
+    "three-groups": ({"n": [10, 10, 10]}, "define four groups"),
+    "five-groups": ({"n": [5] * 5, "contrast": "two_sample"}, "define four groups"),
+}
+
+
+@pytest.mark.parametrize("second, message", UNRUNNABLE.values(), ids=UNRUNNABLE)
+def test_cmd_simulate_checks_every_setting_before_any_study(
+    second, message, tmp_path, capsys, monkeypatch
+):
+    studies = []
+    monkeypatch.setattr(cli, "size_power_study", studies.append)
+    config = tmp_path / "s.json"
+    config.write_text(json.dumps({"reps": 300, "settings": [{"n": "n3"}, {"n": "n3", **second}]}))
+    out = tmp_path / "rates.csv"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+    err = single_error_line(capsys)
+    assert err["message"].startswith("setting 2: ") and message in err["message"]
+    assert studies == []
+    assert list(tmp_path.iterdir()) == [config]
 
 
 @pytest.mark.parametrize("command", ["test", "simulate", "report"])

@@ -26,11 +26,11 @@ from mfdglht import (
     quad_weights,
     run_glht,
     separable_trace_integrals,
+    sigma_hat,
     true_dof,
     ustat_within_fast,
 )
-from mfdglht.glht import ContrastSpec, hn_matrix
-from mfdglht.moments import OmegaHat, inv_sqrt_spd
+from mfdglht.glht import ContrastSpec, OmegaHat, hn_matrix, inv_sqrt_spd
 from mfdglht.simulate import (
     basis_functions,
     component_stream_basis,
@@ -202,6 +202,23 @@ def test_within_requires_four_observations():
     w = quad_weights(ds.grid)
     with pytest.raises(InsufficientReplicationError, match="group 1"):
         ustat_within_fast(ds, 0, identity_omega(1), w)
+
+
+def test_every_group_size_check_names_the_group_its_n_and_the_minimum():
+    ds = dataset_from([np.zeros((1, 1, 3)), np.zeros((3, 1, 3))], m=3)
+    w = quad_weights(ds.grid)
+    spec = oneway_contrast(2)
+    checks = [
+        (lambda: sigma_hat(ds, 0, w), "group 1 has n=1 observations; .* n >= 2"),
+        (lambda: cross_terms(ds, 0, 1, identity_omega(1), w), "group 1 has n=1 .* n >= 2"),
+        (lambda: build_glht(ds, spec, w), "group 1 has n=1 .* n >= 2"),
+        (lambda: ustat_within_fast(ds, 1, identity_omega(1), w), "group 2 has n=3 .* n >= 4"),
+        (lambda: dof_estimates(ds, spec, w), "group 1 has n=1 .* n >= 4"),
+        (lambda: run_glht(ds, spec), "group 1 has n=1 .* n >= 4"),
+    ]
+    for call, message in checks:
+        with pytest.raises(InsufficientReplicationError, match=message):
+            call()
 
 
 def test_k4_zero_for_identical_observations():
@@ -446,7 +463,7 @@ def test_curves_are_prepared_once_per_run(monkeypatch):
     ds = dataset_from([rng.normal(size=(n, 2, 6)) for n in (5, 6, 7)], m=6)
     spec = oneway_contrast(3)
     calls = {"prepare": 0, "gram": 0}
-    prepare = sys.modules["mfdglht.moments"]._centered_weighted
+    prepare = sys.modules["mfdglht.glht"]._centered_weighted
     gram_upper = _kernels.gram_upper
 
     def counting_prepare(*args, **kwargs):

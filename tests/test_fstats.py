@@ -28,9 +28,8 @@ from mfdglht import (
     run_glht,
     statistics,
 )
-from mfdglht.dof import _test_design
 from mfdglht.fstats import _theta
-from mfdglht.moments import inv_sqrt_spd
+from mfdglht.glht import _USTAT_N, _design, inv_sqrt_spd
 
 
 def test_statistics_identity_matrices():
@@ -380,7 +379,7 @@ def test_pass_reads_theta_through_the_pooled_root(path, monkeypatch):
     theta_of = fstats._theta
     monkeypatch.setattr(fstats, "_theta", lambda *args: thetas.append(theta_of(*args)) or thetas[-1])
     for cfg in load_config_file(str(path))[:3]:
-        design = _test_design(cfg.contrast_spec(), cfg.n, quad_weights(cfg.grid()), cfg.p)
+        design = _design(cfg.contrast_spec(), cfg.n, quad_weights(cfg.grid()), cfg.p, _USTAT_N)
         for seed in (1, 2, 3):
             groups = gen_sample(cfg, [seed, 0]).groups
             calls.clear()

@@ -85,7 +85,7 @@ def test_b_matrix_exact_null_fit_zero():
     w = quad_weights(ds.grid)
     means = group_means(ds)
     c = np.array([[1.0, -1.0]])
-    c0 = np.einsum("qk,kpm->qpm", c, means.means)
+    c0 = np.einsum("qk,kpm->qpm", c, means)
     spec = ContrastSpec(c, c0)
     assert np.allclose(b_matrix(means, spec, w, ds.n), 0.0, atol=1e-12)
 
@@ -97,10 +97,21 @@ def test_b_matrix_oneway_equals_grand_mean_form():
     means = group_means(ds)
     n = np.asarray(ds.n, dtype=float)
     bn = b_matrix(means, oneway_contrast(3), w, ds.n)
-    grand = np.einsum("i,ipm->pm", n, means.means) / n.sum()
-    dev = means.means - grand[None]
+    grand = np.einsum("i,ipm->pm", n, means) / n.sum()
+    dev = means - grand[None]
     direct = np.einsum("i,ipt,iqt,t->pq", n, dev, dev, w.weights)
     assert np.allclose(bn, direct, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "means, message",
+    [(np.zeros((2, 6)), "shape"), (np.full((2, 1, 6), np.nan), "finite")],
+    ids=["two-dimensional", "nan"],
+)
+def test_b_matrix_rejects_means_of_wrong_shape_or_not_finite(means, message):
+    w = quad_weights(make_uniform_grid(6, 0.0, 1.0))
+    with pytest.raises(ValidationError, match=message):
+        b_matrix(means, ContrastSpec(np.array([[1.0, -1.0]])), w, (4, 5))
 
 
 def test_e_matrix_all_identical_observations_zero():

@@ -6,8 +6,8 @@ import pytest
 from mfdglht import _kernels
 from mfdglht.dataset import FunctionalDataset, GroupSample
 from mfdglht.dof import ustat_within_fast
+from mfdglht.glht import OmegaHat
 from mfdglht.grid import make_uniform_grid, quad_weights
-from mfdglht.moments import OmegaHat
 
 
 def brute_gram(z, w):

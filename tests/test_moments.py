@@ -26,21 +26,21 @@ def test_group_means_average_of_two_constant_curves():
     a = np.full((1, 2, 3), 1.0)
     b = np.full((1, 2, 3), 3.0)
     ds = dataset_from([np.concatenate([a, b])], m=3)
-    assert np.allclose(group_means(ds).means[0], 2.0)
+    assert np.allclose(group_means(ds)[0], 2.0)
 
 
 def test_group_means_single_observation_identity():
     rng = np.random.default_rng(1)
     values = rng.normal(size=(1, 2, 4))
     ds = dataset_from([values], m=4)
-    assert np.allclose(group_means(ds).means[0], values[0])
+    assert np.allclose(group_means(ds)[0], values[0])
 
 
 def test_group_means_antisymmetric_pair_is_zero():
     rng = np.random.default_rng(2)
     y = rng.normal(size=(1, 3, 5))
     ds = dataset_from([np.concatenate([y, -y])], m=5)
-    assert np.allclose(group_means(ds).means[0], 0.0)
+    assert np.allclose(group_means(ds)[0], 0.0)
 
 
 def test_sigma_hat_identical_observations_zero():

@@ -21,7 +21,6 @@ from mfdglht import (
     size_power_study,
 )
 from mfdglht import build_glht, dof_estimates, statistics
-from mfdglht import dof as dof_module
 from mfdglht import simulate
 from mfdglht.dataset import FunctionalDataset, GroupSample
 from mfdglht.fstats import STATISTIC_NAMES
@@ -283,13 +282,13 @@ def test_study_replications_run_the_same_pass_as_run_glht(contrast, monkeypatch)
 
 def test_design_is_built_once_per_study_and_per_permutation_call(monkeypatch):
     calls = []
-    design = dof_module._design
+    design = simulate._design
 
     def counting(*args):
         calls.append(args)
         return design(*args)
 
-    monkeypatch.setattr(dof_module, "_design", counting)
+    monkeypatch.setattr(simulate, "_design", counting)
     size_power_study(STUDY_CFG)
     assert len(calls) == 1
     calls.clear()
