@@ -6,21 +6,32 @@ of freedom needs four trace-type functionals per group, built from
 U-statistics over distinct observation tuples so that unknown group means
 drop out exactly.
 
-Every functional is a reduction of one weighted Gram of the standardized
-curves (see ``_kernels``): one Gram of the curves the hypothesis weighs.
-A group whose column of the contrast is zero has h_ii = 0 and h_ij = 0, so
-its functionals enter neither denominator, and the preparation pass
-(``glht._prepare``) reads only the other groups' curves: each group centered
-by its own mean, scaled by sqrt(w) and transformed by the pooled inverse
-square root. ``_dof``, the degrees-of-freedom step of the per-dataset pass,
-forms their Gram once and reads every touched group and pair from its
-blocks, at the rows the test's design (``glht._design``) fixed; the
-within-group U-statistics use an inclusion-exclusion rewrite in terms of
-complete-sum aggregates, never touching 3- or 4-tuples. The distinct-tuple
-U-statistics are invariant to a common shift, so centering changes no
-exact value. It removes the cancellation that a large offset of the
-curves would otherwise cause, and it makes five of the rewrite's nine
-aggregates exactly zero, so only the other four are formed.
+Every double time integral these functionals need is a weighted sum of
+products of two separable kernels, so it factors exactly through the
+weighted single-time Gram matrix of the standardized curves: with rows
+indexed by (observation, component),
+
+    K[(a, h), (c, l)] = integral of z_a(t)[h] z_c(t)[l] dt,
+
+each functional becomes a small contraction of p x p blocks of K. Once K
+exists nothing touches the time grid again: the whole cost in m is one
+symmetric rank-m update (``gram_upper``), and the other kernels take a
+block of K and never see curves. A group whose column of the contrast is
+zero has h_ii = 0 and h_ij = 0, so its functionals enter neither
+denominator, and the preparation pass (``glht._prepare``) reads only the
+other groups' curves: each group centered by its own mean, scaled by
+sqrt(w) and transformed by the pooled inverse square root. ``_dof``, the
+degrees-of-freedom step of the per-dataset pass, forms their Gram once and
+reads every touched group and pair from its blocks, at the rows of the
+test's design (``glht._design``), with weights from H on the touched
+groups. The within-group U-statistics use an inclusion-exclusion rewrite
+in terms of complete-sum aggregates, never touching 3- or 4-tuples. The
+distinct-tuple U-statistics are invariant to a common shift, so centering
+changes no exact value. It removes the cancellation that a large offset
+of the curves would otherwise cause. Centered curves also sum to zero over
+a group's observations at every time point, so every aggregate that
+contains a row sum of a block is exactly zero: five of the rewrite's nine
+aggregates vanish, and only the other four are formed.
 ``ustat_within_fast`` (all four functionals of one group) and
 ``cross_terms`` (one pair) run the same reductions under any pooled
 matrix. The oracles these reductions are tested against, distinct-tuple
@@ -40,11 +51,12 @@ functionals are contractions of one Gram of the basis curves.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import blas
 
-from . import _kernels
 from .dataset import FunctionalDataset
 from .errors import DegenerateDofError, ValidationError
 from .glht import (
@@ -54,10 +66,8 @@ from .glht import (
     GlhtMatrices,
     OmegaHat,
     _centered_weighted,
-    _cross_scale,
     _Design,
     _design,
-    _off_diagonal_weights,
     _prepare,
     _require_sizes,
     omega_hat,
@@ -111,10 +121,78 @@ class DofEstimate:
         return any(self.clamped_b) or any(self.clamped_e)
 
 
+def gram_upper(a: np.ndarray) -> np.ndarray:
+    """Upper triangle of ``a @ a.T`` for a C-ordered ``a`` of shape (r, m), by one BLAS ``dsyrk``.
+
+    Entries below the diagonal are not computed and stay zero: read
+    off-diagonal blocks from the upper side and pass diagonal blocks through
+    ``symmetric_block``.
+    """
+    # a.T is Fortran-ordered, so BLAS reads it in place; trans=1 gives a @ a.T.
+    # dsyrk writes only the upper triangle of c, so the zeros below it remain.
+    c = np.zeros((a.shape[0], a.shape[0]), order="F")
+    return blas.dsyrk(1.0, a.T, c=c, trans=1, lower=0, overwrite_c=1)
+
+
+def symmetric_block(gram: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Full symmetric diagonal block ``gram[lo:hi, lo:hi]`` of a ``gram_upper`` result."""
+    upper = gram[lo:hi, lo:hi]
+    block = upper + upper.T
+    np.fill_diagonal(block, upper.diagonal())
+    return block
+
+
+def within_group_scalars(block: np.ndarray, p: int) -> np.ndarray:
+    """The four nonzero aggregate double integrals of one group from its
+    symmetric Gram block; the group's curves must be centered by its mean.
+
+    Writing delta_ab(t, s) = z_a(t) . z_b(s) and angle brackets for the
+    weighted double integral over (t, s), the entries are the complete
+    sums <D^2>, <E2>, <F2>, <F2X> of the pointwise kernels
+
+      D   = sum_j delta_jj            E2  = sum_j delta_jj^2
+      F2  = sum_{a,b} delta_ab^2      F2X = sum_{a,b} delta_ab delta_ba
+
+    with ``block`` the (n p, n p) Gram of the group's n curves. <E2> is
+    also the sum over j of the squared self-kernel integral, the first term
+    of the kurtosis functional.
+
+    Centered curves sum to zero at every t, so every row sum of the
+    block's p x p sub-blocks, and their total, is zero. The five other
+    aggregates of the inclusion-exclusion expansion, <D U>, <U^2>, <V>,
+    <W> and <W12> with U = sum_{a,b} delta_ab, V = sum_{j,c} delta_jj
+    delta_jc, W = sum_{j,c,d} delta_jc delta_jd and W12 = sum_{j,c,d}
+    delta_jc delta_dj, each contain such a sum and vanish.
+    """
+    n = block.shape[0] // p
+    q = block.reshape(n, p, n, p)
+    q_diag = np.einsum("jpjq->jpq", q)
+    diag_sum = q_diag.sum(axis=0)
+    return np.array(
+        [
+            np.vdot(block, block),
+            np.vdot(q_diag, q_diag),
+            np.vdot(diag_sum, diag_sum),
+            np.vdot(q, q.transpose(0, 3, 2, 1)),
+        ]
+    )
+
+
+def pair_trace_integrals(block: np.ndarray, p: int) -> tuple[float, float]:
+    """Unnormalized between-group trace integrals from a cross Gram block.
+
+    With X[j, j'] the (j, j') p x p block of ``block`` (shape (n1 p, n2 p)),
+    the two returned values are sum_{j,j'} ||X[j,j']||_F^2 and
+    sum_{j,j'} tr(X[j,j'] X[j,j'])."""
+    n1, n2 = block.shape[0] // p, block.shape[1] // p
+    x = np.ascontiguousarray(block).reshape(n1, p, n2, p)
+    return float(np.vdot(x, x)), float(np.vdot(x, x.transpose(0, 3, 2, 1)))
+
+
 def _standardized_gram(ds: FunctionalDataset, groups, omega: OmegaHat, w: QuadWeights):
     """Upper triangle of the Gram of the prepared curves of ``groups`` under ``omega``."""
     _, curves = _centered_weighted([ds.group_values(i) for i in groups], np.sqrt(w.weights))
-    return _kernels.gram_upper((omega.inv_sqrt @ curves).reshape(-1, ds.m))
+    return gram_upper((omega.inv_sqrt @ curves).reshape(-1, ds.m))
 
 
 def _within_functionals(scalars: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -123,7 +201,7 @@ def _within_functionals(scalars: np.ndarray, n: np.ndarray) -> np.ndarray:
 
     The first three are the inclusion-exclusion over distinct index tuples
     with the five aggregates that centering makes zero left out (see
-    ``_kernels.within_group_scalars``). The kurtosis functional's first
+    ``within_group_scalars``). The kurtosis functional's first
     term, the summed squared self-kernel integral, is the aggregate <E2>.
     """
     i_d2, i_e2, i_f2, i_f2x = scalars.T
@@ -140,12 +218,26 @@ def _within_functionals(scalars: np.ndarray, n: np.ndarray) -> np.ndarray:
     return np.array([i_hat, t_hat, tr2_hat, k4])
 
 
+def _off_diagonal_weights(hn: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """hn_ij^2 / (n_i n_j) off the diagonal and zero on it: the weights of the
+    between-group terms of the hypothesis degrees-of-freedom denominator."""
+    off = hn**2 / np.outer(n, n)
+    np.fill_diagonal(off, 0.0)
+    return off
+
+
+def _cross_scale(n: np.ndarray) -> np.ndarray:
+    """1 / ((n_i - 1)(n_j - 1)): the plug-in covariances' normalization of the
+    between-group trace functionals."""
+    return 1.0 / np.outer(n - 1, n - 1)
+
+
 def _denominator_terms(off: np.ndarray, n: np.ndarray, k4: np.ndarray, it: np.ndarray):
     """The pieces of both degrees-of-freedom denominators.
 
     ``it`` is the k x k matrix of I + T functionals: within-group on the
     diagonal, between-group off it; ``off`` holds the between-group weights
-    (``glht._off_diagonal_weights``). Returns the per-group B and E brackets
+    (``_off_diagonal_weights``). Returns the per-group B and E brackets
     as the rows of a (2, k) array, and the summed off-diagonal B terms.
     Each denominator is sum_i hn_ii^2 bracket_i, plus the off-diagonal sum
     for B; each bracket estimates a variance, which the estimator clamps at
@@ -173,28 +265,25 @@ def _dof(design: _Design, curves: np.ndarray) -> _Dof:
     """The degrees of freedom from one Gram of the standardized curves of the
     touched groups; ``DegenerateDofError`` when a clamped denominator is not
     positive."""
-    p, rows = design.p, design.rows
-    gram = _kernels.gram_upper(curves.reshape(-1, design.m))
-    scalars = np.array(
-        [
-            _kernels.within_group_scalars(_kernels.symmetric_block(gram, r.start, r.stop), p)
-            for r in rows
-        ]
-    )
-    functionals = _within_functionals(scalars, design.n)
+    p, n, h = design.p, design.n, design.h_touched
+    rows = [slice(p * r.start, p * r.stop) for r in design.curves]
+    gram = gram_upper(curves.reshape(-1, design.m))
+    scalars = np.array([within_group_scalars(symmetric_block(gram, r.start, r.stop), p)
+                        for r in rows])
+    functionals = _within_functionals(scalars, n)
     # The I and T matrices: between-group terms off the diagonal, within on it.
     cross = np.zeros((2, len(rows), len(rows)))
-    for a, b in design.pairs:
-        cross[:, a, b] = _kernels.pair_trace_integrals(gram[rows[a], rows[b]], p)
-    cross *= design.cross_scale
+    for a, b in combinations(range(len(rows)), 2):
+        cross[:, a, b] = pair_trace_integrals(gram[rows[a], rows[b]], p)
+    cross *= _cross_scale(n)
     cross += cross.transpose(0, 2, 1)
     diag = np.arange(len(rows))
     cross[:, diag, diag] = functionals[:2]
     i_cross, t_cross = cross
 
-    brackets, off_sum = _denominator_terms(design.off_weights, design.n, functionals[3],
+    brackets, off_sum = _denominator_terms(_off_diagonal_weights(h, n), n, functionals[3],
                                            i_cross + t_cross)
-    db_denom, de_denom = np.maximum(brackets, 0.0) @ design.h2 + (off_sum, 0.0)
+    db_denom, de_denom = np.maximum(brackets, 0.0) @ np.diag(h) ** 2 + (off_sum, 0.0)
     if db_denom <= 0 or de_denom <= 0:
         raise DegenerateDofError(
             "degrees-of-freedom denominator is nonpositive after clamping; "
@@ -241,7 +330,7 @@ def ustat_within_fast(
     _require_sizes(ds.n, (i,), *_USTAT_N)
     n_i = ds.n[i]
     gram = _standardized_gram(ds, (i,), omega, w)
-    scalars = _kernels.within_group_scalars(_kernels.symmetric_block(gram, 0, n_i * ds.p), ds.p)
+    scalars = within_group_scalars(symmetric_block(gram, 0, n_i * ds.p), ds.p)
     functionals = _within_functionals(scalars[None], np.array([n_i], dtype=np.float64))
     return WithinGroupUStats(*functionals[:, 0].tolist())
 
@@ -279,7 +368,7 @@ def cross_terms(
     _require_sizes(ds.n, (i1, i2), *_COVARIANCE_N)
     split = ds.n[i1] * ds.p
     gram = _standardized_gram(ds, (i1, i2), omega, w)
-    i_val, t_val = _kernels.pair_trace_integrals(gram[:split, split:], ds.p)
+    i_val, t_val = pair_trace_integrals(gram[:split, split:], ds.p)
     scale = _cross_scale(np.array([ds.n[i1], ds.n[i2]], dtype=np.float64))[0, 1]
     return i_val * scale, t_val * scale
 
@@ -371,8 +460,8 @@ def separable_trace_integrals(
     are k x k, the third length k, and ``sigma`` stacks the integrated
     covariance matrices, shape (k, p, p).
 
-    All four are contractions of one Gram of the basis (the identity of
-    ``_kernels``): with A[r,p,s,q] the integral of phi_rp phi_sq,
+    All four are contractions of one Gram of the basis (the module's Gram
+    identity): with A[r,p,s,q] the integral of phi_rp phi_sq,
     L_rs = sum_pq A[r,p,s,q]^2 and K_rs = sum_pq A[r,p,s,q] A[r,q,s,p]
     give i_mat = lambda L lambda^T and t_mat = lambda K lambda^T.
     """
@@ -386,7 +475,7 @@ def separable_trace_integrals(
             raise ValidationError(f"inv_sqrt must have shape ({p}, {p})")
         phi = inv_sqrt @ phi
     flat = (phi * np.sqrt(w.weights)).reshape(r * p, m)
-    a = _kernels.symmetric_block(_kernels.gram_upper(flat), 0, r * p).reshape(r, p, r, p)
+    a = symmetric_block(gram_upper(flat), 0, r * p).reshape(r, p, r, p)
     sigma = np.einsum("ir,rprq->ipq", lam, a)
     i_mat = lam @ np.einsum("rpsq,rpsq->rs", a, a) @ lam.T
     t_mat = lam @ np.einsum("rpsq,rqsp->rs", a, a) @ lam.T

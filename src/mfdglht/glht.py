@@ -20,19 +20,17 @@ positive-definite matrix.
 Everything that depends only on (C, C0), the group sizes, the grid and p
 is the test's design (``_design``), built once and shared by every dataset
 of that shape: H and the factors B applies (``_contrast_roots``, from C's
-row space), the touched groups and the weights the degrees of freedom
-read. A group whose column of C is
-zero has zero weight in H, B and E, so the one preparation pass over a
-dataset (``_prepare``) reads only the curves of the groups C touches: one
-Gram of the curves the hypothesis weighs is all the degrees of freedom
-read. ``build_glht`` is the design and that pass. The contrast and C0 files
-are read by ``dataset``.
+row space), and the touched groups with H restricted to them. A group
+whose column of C is zero has zero weight in H, B and E, so the one
+preparation pass over a dataset (``_prepare``) reads only the curves of
+the groups C touches: one Gram of the curves the hypothesis weighs is all
+the degrees of freedom read. ``build_glht`` is the design and that pass.
+The contrast and C0 files are read by ``dataset``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -348,20 +346,6 @@ def e_matrix(sigmas, hn: np.ndarray, n) -> np.ndarray:
     return _pooled(np.asarray(sigmas, dtype=np.float64), h_diag / np.asarray(n, dtype=np.float64))
 
 
-def _off_diagonal_weights(hn: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """hn_ij^2 / (n_i n_j) off the diagonal and zero on it: the weights of the
-    between-group terms of the hypothesis degrees-of-freedom denominator."""
-    off = hn**2 / np.outer(n, n)
-    np.fill_diagonal(off, 0.0)
-    return off
-
-
-def _cross_scale(n: np.ndarray) -> np.ndarray:
-    """1 / ((n_i - 1)(n_j - 1)): the plug-in covariances' normalization of the
-    between-group trace functionals."""
-    return 1.0 / np.outer(n - 1, n - 1)
-
-
 @dataclass(frozen=True)
 class _Design:
     """Everything a test reads that depends only on (C, C0), the group sizes,
@@ -383,11 +367,7 @@ class _Design:
     starts: np.ndarray  # each touched group's first prepared curve
     curves: tuple[slice, ...]  # each touched group's prepared curves
     omega_weights: np.ndarray  # h_ii / n_i
-    rows: tuple[slice, ...]  # each touched group's rows of the Gram
-    pairs: tuple[tuple[int, int], ...]  # touched pairs (a < b)
-    cross_scale: np.ndarray
-    off_weights: np.ndarray
-    h2: np.ndarray  # h_ii^2
+    h_touched: np.ndarray  # H restricted to the touched groups
 
 
 def _design(spec: ContrastSpec, sizes: tuple[int, ...], w: QuadWeights, p: int,
@@ -407,7 +387,6 @@ def _design(spec: ContrastSpec, sizes: tuple[int, ...], w: QuadWeights, p: int,
     touched = np.flatnonzero(np.any(spec.c != 0, axis=0))
     n = np.array([sizes[i] for i in touched], dtype=np.float64)
     h_t = hn[np.ix_(touched, touched)]
-    h_diag = np.diag(h_t)
     bounds = np.cumsum([0, *n.astype(np.intp)])
     return _Design(
         sizes=tuple(sizes),
@@ -421,12 +400,8 @@ def _design(spec: ContrastSpec, sizes: tuple[int, ...], w: QuadWeights, p: int,
         b_offset=offset,
         starts=bounds[:-1],
         curves=tuple(slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])),
-        omega_weights=h_diag / n,
-        rows=tuple(slice(p * lo, p * hi) for lo, hi in zip(bounds[:-1], bounds[1:])),
-        pairs=tuple(combinations(range(len(touched)), 2)),
-        cross_scale=_cross_scale(n),
-        off_weights=_off_diagonal_weights(h_t, n),
-        h2=h_diag**2,
+        omega_weights=np.diag(h_t) / n,
+        h_touched=h_t,
     )
 
 

@@ -543,7 +543,7 @@ def load_config_file(path) -> list[SimConfig]:
             cfg = SimConfig(**merged)
             _setting_sampler(cfg)
             _design(cfg.contrast_spec(), cfg.n, quad_weights(cfg.grid()), cfg.p, _USTAT_N)
-        except (TypeError, ValueError, InputError) as exc:
+        except (TypeError, ValueError, InputError, MemoryError) as exc:
             raise InputError(f"setting {idx + 1}: {exc}") from None
         configs.append(cfg)
     return configs

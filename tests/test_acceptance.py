@@ -6,7 +6,6 @@ deterministic; rates are exact reruns of frozen streams.
 """
 
 import time
-from itertools import permutations
 
 import numpy as np
 import pytest
@@ -20,11 +19,8 @@ from mfdglht import (
     SimConfig,
     are_metric,
     build_glht,
-    dof_estimates,
     f_cdf,
-    gen_sample,
     make_uniform_grid,
-    omega_hat,
     oneway_contrast,
     quad_weights,
     run_glht,
@@ -237,6 +233,17 @@ def test_criterion_07_unbiasedness_suite():
     )
 
 
+def _report_unbiasedness(reps, **setting):
+    """Criterion 7 at ``reps`` replications of one ``_unbiasedness`` setting."""
+    count, worst, failing = _unbiasedness(reps, **setting)
+    report(
+        "criterion-7",
+        not failing,
+        f"{count} targets at R={reps}, worst |z| = {worst:.2f} <= 4"
+        + (f"; failing: {failing}" if failing else ""),
+    )
+
+
 def _total_variation_match(reps, p, q, m, n, nus, rho):
     """Criterion 8 on one setting: V(B~), p(p+1)/d_B, V(E~) and p(p+1)/d_E."""
     k = len(n)
@@ -291,15 +298,7 @@ TABLE1_SCENARIOS = {"S1-rho0.1": ("S1", 0.1), "S2-rho0.5": ("S2", 0.5)}
 
 @pytest.mark.parametrize("scenario, rho", TABLE1_SCENARIOS.values(), ids=TABLE1_SCENARIOS)
 def test_criterion_07_unbiasedness_at_table1_shape(scenario, rho):
-    reps = 1000
-    count, worst, failing = _unbiasedness(reps, nus=SCENARIO_NUS[scenario], rho=rho,
-                                          **TABLE1_SHAPE)
-    report(
-        "criterion-7",
-        not failing,
-        f"{count} targets at R={reps}, worst |z| = {worst:.2f} <= 4"
-        + (f"; failing: {failing}" if failing else ""),
-    )
+    _report_unbiasedness(1000, nus=SCENARIO_NUS[scenario], rho=rho, **TABLE1_SHAPE)
 
 
 @pytest.mark.parametrize("scenario, rho", TABLE1_SCENARIOS.values(), ids=TABLE1_SCENARIOS)

@@ -1,5 +1,4 @@
 import csv
-import io
 import json
 import xml.etree.ElementTree as ET
 
@@ -443,6 +442,18 @@ def test_cmd_simulate_non_numeric_config_exit_2(overrides, tmp_path, capsys):
     assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "a.csv")]) == 2
     err = single_error_line(capsys)
     assert err["error"] == "InputError" and err["message"].startswith("setting 1: ")
+
+
+def test_cmd_simulate_oversized_config_exit_2(tmp_path, capsys):
+    # 10^14 grid points ask for 728 TiB, more than a 47-bit user address
+    # space holds, so the allocation fails at once and touches no memory.
+    config = tmp_path / "s.json"
+    config.write_text(json.dumps({"n": "n3", "m": 10**14, "reps": 1}))
+    out = tmp_path / "a.csv"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+    err = single_error_line(capsys)
+    assert err["error"] == "InputError" and err["message"].startswith("setting 1: ")
+    assert not out.exists()
 
 
 def test_cmd_simulate_non_utf8_config_exit_2(tmp_path, capsys):

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mfdglht import _kernels
 from mfdglht import (
     FunctionalDataset,
     Grid,
@@ -30,6 +29,7 @@ from mfdglht import (
     true_dof,
     ustat_within_fast,
 )
+from mfdglht.dof import gram_upper
 from mfdglht.glht import ContrastSpec, OmegaHat, hn_matrix, inv_sqrt_spd
 from mfdglht.simulate import (
     basis_functions,
@@ -410,13 +410,12 @@ def test_dof_estimates_match_public_wrappers(case, monkeypatch):
     glht = build_glht(ds, spec, w)
 
     grams = []
-    gram_upper = _kernels.gram_upper
 
     def counting_gram(a):
         grams.append(a.shape)
         return gram_upper(a)
 
-    monkeypatch.setattr(_kernels, "gram_upper", counting_gram)
+    monkeypatch.setattr("mfdglht.dof.gram_upper", counting_gram)
     pooled = dof_estimates(ds, spec, w, glht=glht)
     # Group 3 has a zero column of C in the first two cases, so it is not read.
     touched = [0, 1, 3] if case != "oneway" else [0, 1, 2]
@@ -464,7 +463,6 @@ def test_curves_are_prepared_once_per_run(monkeypatch):
     spec = oneway_contrast(3)
     calls = {"prepare": 0, "gram": 0}
     prepare = sys.modules["mfdglht.glht"]._centered_weighted
-    gram_upper = _kernels.gram_upper
 
     def counting_prepare(*args, **kwargs):
         calls["prepare"] += 1
@@ -477,7 +475,7 @@ def test_curves_are_prepared_once_per_run(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("mfdglht") and hasattr(module, "_centered_weighted"):
             monkeypatch.setattr(module, "_centered_weighted", counting_prepare)
-    monkeypatch.setattr(_kernels, "gram_upper", counting_gram)
+    monkeypatch.setattr("mfdglht.dof.gram_upper", counting_gram)
     run_glht(ds, spec)
     assert calls == {"prepare": 1, "gram": 1}
 

@@ -3,9 +3,14 @@ import time
 import numpy as np
 import pytest
 
-from mfdglht import _kernels
 from mfdglht.dataset import FunctionalDataset, GroupSample
-from mfdglht.dof import ustat_within_fast
+from mfdglht.dof import (
+    gram_upper,
+    pair_trace_integrals,
+    symmetric_block,
+    ustat_within_fast,
+    within_group_scalars,
+)
 from mfdglht.glht import OmegaHat
 from mfdglht.grid import make_uniform_grid, quad_weights
 
@@ -19,7 +24,7 @@ def brute_gram(z, w):
 def test_gram_upper_fills_only_the_upper_triangle():
     rng = np.random.default_rng(1)
     a = rng.normal(size=(13, 7))
-    gram = _kernels.gram_upper(a)
+    gram = gram_upper(a)
     full = np.einsum("it,jt->ij", a, a)
     upper = np.triu_indices(13)
     assert np.allclose(gram[upper], full[upper], rtol=1e-13, atol=1e-13)
@@ -30,7 +35,7 @@ def test_gram_upper_fills_only_the_upper_triangle():
 def test_symmetric_block_matches_full_gram(lo, hi):
     rng = np.random.default_rng(2)
     a = rng.normal(size=(13, 5))
-    block = _kernels.symmetric_block(_kernels.gram_upper(a), lo, hi)
+    block = symmetric_block(gram_upper(a), lo, hi)
     full = np.einsum("it,jt->ij", a, a)
     assert np.allclose(block, full[lo:hi, lo:hi], rtol=1e-13, atol=1e-13)
     assert np.array_equal(block, block.T)
@@ -54,7 +59,7 @@ def test_within_group_scalars_brute_force(shape):
         np.einsum("pq,pq->", diag_sum, diag_sum),
         np.einsum("jpcq,jqcp->", q, q),
     ]
-    got = _kernels.within_group_scalars(brute_gram(z, w), shape[1])
+    got = within_group_scalars(brute_gram(z, w), shape[1])
     assert np.allclose(got, kept, rtol=1e-12, atol=1e-12)
     # Centered curves make the other five aggregates (<DU>, <U^2>, <V>, <W>,
     # <W12>) vanish; the shortened expansion in dof rests on this.
@@ -78,7 +83,7 @@ def test_k4_first_term_brute_force():
     expected = sum(
         float(np.sum(np.einsum("pt,qt,t->pq", cj, cj, w) ** 2)) for cj in c
     )
-    got = _kernels.within_group_scalars(brute_gram(c, w), 4)[1]
+    got = within_group_scalars(brute_gram(c, w), 4)[1]
     assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -92,8 +97,8 @@ def test_pair_trace_integrals_brute_force_from_upper_block():
     t_ref = float(np.einsum("ipjq,iqjp->", x, x))
     # The cross block as the dof path reads it: the upper side of one Gram.
     pooled = np.concatenate([c1, c2]) * np.sqrt(w)
-    gram = _kernels.gram_upper(pooled.reshape(-1, 9))
-    i_val, t_val = _kernels.pair_trace_integrals(gram[:18, 18:], 3)
+    gram = gram_upper(pooled.reshape(-1, 9))
+    i_val, t_val = pair_trace_integrals(gram[:18, 18:], 3)
     assert i_val == pytest.approx(i_ref, rel=1e-12)
     assert t_val == pytest.approx(t_ref, rel=1e-12)
 

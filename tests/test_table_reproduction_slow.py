@@ -2,7 +2,8 @@
 
 Enable with ``MFD_GLHT_RUN_SLOW=1 pytest tests/test_table_reproduction_slow.py -s``.
 The default suite covers the acceptance-gating cells; these runs sweep the
-full Simulation-1 homoscedastic size table and a power ladder.
+full Simulation-1 homoscedastic size table and a power ladder, and check
+acceptance criteria 7 and 8 on the long grid.
 """
 
 import os
@@ -11,6 +12,8 @@ import numpy as np
 import pytest
 
 from mfdglht import SimConfig, size_power_study
+from mfdglht.simulate import SCENARIO_NUS
+from test_acceptance import _report_total_variation, _report_unbiasedness, _total_variation_match
 
 slow = pytest.mark.skipif(
     os.environ.get("MFD_GLHT_RUN_SLOW") != "1",
@@ -64,3 +67,20 @@ def test_power_monotone_in_delta():
         rates.append(res.rate_percent("mfp"))
     print("MFP power ladder:", rates)
     assert np.all(np.diff(rates) >= -1.0)  # nondecreasing up to 1pp MC slack
+
+
+# The long grid's shape (k=4, p=6, q=7, m=1000, S2, rho=0.5) under model 1,
+# whose targets the acceptance helpers assume.
+LONG_GRID = dict(p=6, q=7, m=1000, n=(40, 40, 60, 60), nus=SCENARIO_NUS["S2"], rho=0.5)
+
+
+@slow
+def test_criterion_07_unbiasedness_on_long_grid():
+    """Criterion 7 at 1000 replications (about 30 s on a 2-core VM, BLAS on one thread)."""
+    _report_unbiasedness(1000, **LONG_GRID)
+
+
+@slow
+def test_criterion_08_total_variation_matching_on_long_grid():
+    """Criterion 8 at 2000 replications (about 30 s on a 2-core VM, BLAS on one thread)."""
+    _report_total_variation(*_total_variation_match(2000, **LONG_GRID))
