@@ -6,7 +6,6 @@ from .dataset import (
     load_c0_csv,
     load_contrast_csv,
     load_csv,
-    validate,
     write_csv,
 )
 from .dof import (

@@ -51,7 +51,7 @@ REPORT_NUMBERS = {"delta": float, "rate_pct": float, "completed": int}
 
 
 def cmd_test(args) -> int:
-    ds = load_csv(args.data, a=args.domain[0], b=args.domain[1])
+    ds = load_csv(args.data)
     c = load_contrast_csv(args.contrast, k=ds.k)
     c0 = load_c0_csv(args.c0, p=ds.p, m=ds.m, q=c.shape[0]) if args.c0 else None
     spec = ContrastSpec(c, c0)
@@ -288,10 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--contrast", required=True, help="contrast CSV (row,col,value)")
     p_test.add_argument("--c0", default=None, help="optional constant-curve CSV")
     p_test.add_argument("--alpha", type=float, default=0.05)
-    p_test.add_argument(
-        "--domain", type=float, nargs=2, default=(0.0, 1.0), metavar=("A", "B"),
-        help="time domain bounds (uniform grid)",
-    )
     p_test.add_argument("--out", required=True, help="output report JSON")
     p_test.set_defaults(func=cmd_test)
 

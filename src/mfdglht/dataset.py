@@ -4,13 +4,13 @@ A dataset holds ``k`` independent groups of discretized p-dimensional
 curves observed on one shared grid. The on-disk format is a long (tidy)
 CSV with header ``group,obs,component,time_index,value``; indices are
 1-based in files and 0-based in memory. The contrast and C0 files share
-its grammar and fault messages (``_read_rows``, ``_row_fault``).
+its grammar and fault messages (``_read_rows``, ``_row_fault``). Every
+loader reads a path (``str`` or ``os.PathLike``) or a text stream.
 """
 
 from __future__ import annotations
 
 import contextlib
-import io
 import itertools
 import os
 import re
@@ -21,7 +21,7 @@ import numpy as np
 from .errors import IngestionError, ValidationError
 from .grid import Grid, make_uniform_grid
 
-__all__ = ["GroupSample", "FunctionalDataset", "load_csv", "write_csv", "validate",
+__all__ = ["GroupSample", "FunctionalDataset", "load_csv", "write_csv",
            "load_contrast_csv", "load_c0_csv"]
 
 CSV_HEADER = ("group", "obs", "component", "time_index", "value")
@@ -67,9 +67,26 @@ class FunctionalDataset:
     n: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "groups", tuple(self.groups))
-        validate(self)
-        object.__setattr__(self, "n", tuple(g.n_obs for g in self.groups))
+        groups = tuple(self.groups)
+        object.__setattr__(self, "groups", groups)
+        if not groups:
+            raise ValidationError("dataset needs at least one group")
+        p, m = groups[0].values.shape[1], self.grid.m
+        for i, g in enumerate(groups):
+            if not isinstance(g, GroupSample):
+                raise ValidationError(f"group {i + 1} is not a GroupSample")
+            if g.values.shape[1] != p:
+                raise ValidationError(
+                    f"component count mismatch: group {i + 1} has p={g.values.shape[1]}, "
+                    f"group 1 has p={p}"
+                )
+            if g.values.shape[2] != m:
+                raise ValidationError(
+                    f"time grid mismatch: group {i + 1} has {g.values.shape[2]} points, "
+                    f"grid has {m}"
+                )
+        # GroupSample's own constructor guarantees finiteness and n_obs >= 1.
+        object.__setattr__(self, "n", tuple(g.n_obs for g in groups))
 
     @property
     def k(self) -> int:
@@ -87,34 +104,9 @@ class FunctionalDataset:
         return self.groups[i].values
 
 
-def validate(ds: FunctionalDataset) -> None:
-    """Raise ``ValidationError`` unless every dataset invariant holds."""
-    if len(ds.groups) < 1:
-        raise ValidationError("dataset needs at least one group")
-    p = ds.groups[0].values.shape[1]
-    m = ds.grid.m
-    for i, g in enumerate(ds.groups):
-        if not isinstance(g, GroupSample):
-            raise ValidationError(f"group {i + 1} is not a GroupSample")
-        if g.values.shape[1] != p:
-            raise ValidationError(
-                f"component count mismatch: group {i + 1} has p={g.values.shape[1]}, "
-                f"group 1 has p={p}"
-            )
-        if g.values.shape[2] != m:
-            raise ValidationError(
-                f"time grid mismatch: group {i + 1} has {g.values.shape[2]} points, "
-                f"grid has {m}"
-            )
-        # GroupSample's own constructor guarantees finiteness and n_obs >= 1.
-
-
 def _open_text(source):
-    """Return ``(stream, owned)``: text with a newline is read as CSV content,
-    any other string or path is opened as a UTF-8 file, and a stream is used
-    as given."""
-    if isinstance(source, str) and "\n" in source:
-        return io.StringIO(source), False
+    """Return ``(stream, owned)``: a path (``str`` or ``os.PathLike``) is
+    opened as a UTF-8 file, and a text stream is used as given."""
     if isinstance(source, (str, os.PathLike)):
         return open(source, "r", encoding="utf-8"), True
     return source, False
@@ -305,14 +297,14 @@ def _group_values(gi: int, cells: np.ndarray, values: np.ndarray, m: int) -> np.
     return group.reshape(n_obs, p, m)
 
 
-def load_csv(source, a: float = 0.0, b: float = 1.0) -> FunctionalDataset:
-    """Read a dataset from a long-format CSV stream or path.
+def load_csv(source) -> FunctionalDataset:
+    """Read a dataset from a long-format CSV path or text stream.
 
-    The grid is uniform on [a, b], with as many points as the largest
-    ``time_index`` in the file. Blank
-    lines and lines whose first non-blank character is ``#`` are ignored.
-    Every (group, obs, component, time_index) cell must be present
-    exactly once.
+    The grid is uniform on [0, 1], with as many points as the largest
+    ``time_index`` in the file; the statistics read the grid only through
+    its quadrature weights, so the domain's span cancels. Blank lines and
+    lines whose first non-blank character is ``#`` are ignored. Every
+    (group, obs, component, time_index) cell must be present exactly once.
     """
     cells, values = _read_rows(source, CSV_HEADER)
     if not len(values):
@@ -346,12 +338,13 @@ def load_csv(source, a: float = 0.0, b: float = 1.0) -> FunctionalDataset:
                 f"component count mismatch: group {gi} has p={g.values.shape[1]}, "
                 f"group 1 has p={p}"
             )
-    return FunctionalDataset(make_uniform_grid(m, a, b), tuple(groups))
+    return FunctionalDataset(make_uniform_grid(m, 0.0, 1.0), tuple(groups))
 
 
 def write_csv(ds: FunctionalDataset, sink) -> None:
-    """Write a dataset in the long CSV format (17 significant digits) to a path or stream."""
-    if isinstance(sink, (str, bytes, os.PathLike)):
+    """Write a dataset in the long CSV format (17 significant digits) to a path
+    (``str`` or ``os.PathLike``) or text stream."""
+    if isinstance(sink, (str, os.PathLike)):
         with open(sink, "w", encoding="utf-8") as fh:
             write_csv(ds, fh)
             return

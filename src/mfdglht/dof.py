@@ -451,14 +451,13 @@ def separable_trace_integrals(
     lambdas: np.ndarray,
     basis: np.ndarray,
     w: QuadWeights,
-    inv_sqrt: np.ndarray | None = None,
 ):
     """Trace functionals of separable covariances by quadrature.
 
-    With ``inv_sqrt`` omitted the raw (unstandardized) functionals are
-    returned. Returns (i_mat, t_mat, tr_sigma2, sigma) where the first two
-    are k x k, the third length k, and ``sigma`` stacks the integrated
-    covariance matrices, shape (k, p, p).
+    Returns (i_mat, t_mat, tr_sigma2, sigma) where the first two are k x k,
+    the third length k, and ``sigma`` stacks the integrated covariance
+    matrices, shape (k, p, p). The standardized functionals are those of
+    the basis ``S @ basis``, for S the pooled matrix's inverse square root.
 
     All four are contractions of one Gram of the basis (the module's Gram
     identity): with A[r,p,s,q] the integral of phi_rp phi_sq,
@@ -470,10 +469,6 @@ def separable_trace_integrals(
     r, p, m = phi.shape
     if w.weights.size != m:
         raise ValidationError(f"quadrature weights have {w.weights.size} points, the basis {m}")
-    if inv_sqrt is not None:
-        if np.shape(inv_sqrt) != (p, p):
-            raise ValidationError(f"inv_sqrt must have shape ({p}, {p})")
-        phi = inv_sqrt @ phi
     flat = (phi * np.sqrt(w.weights)).reshape(r * p, m)
     a = symmetric_block(gram_upper(flat), 0, r * p).reshape(r, p, r, p)
     sigma = np.einsum("ir,rprq->ipq", lam, a)
@@ -506,7 +501,7 @@ def true_dof(
     h_diag = np.diag(hn)
     omega = omega_hat(sigma, h_diag, n)  # SingularOmegaError if degenerate
     i_star, t_star, tr_sigma2_star, _ = separable_trace_integrals(
-        gammas.lambdas, gammas.basis, w, inv_sqrt=omega.inv_sqrt
+        gammas.lambdas, omega.inv_sqrt @ gammas.basis, w
     )
     k4 = np.zeros(k) if kurtosis is None else np.asarray(kurtosis, dtype=np.float64)
     if k4.size != k:

@@ -141,8 +141,8 @@ class TestReport:
             "diagnostics": dict(self.diagnostics),
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 def _theta(root: np.ndarray, m1: np.ndarray) -> np.ndarray:

@@ -63,6 +63,8 @@ RANK_REL_TOL = 1e-10
 PD_REL_TOL = 1e-10
 # Relative to the pooled squared mean curves: what rounding the values can leave.
 ROUNDING_REL_TOL = (64 * np.finfo(np.float64).eps) ** 2
+# The smallest diagonal entry an equilibration takes: below it 1/sqrt(d_i) * 1/sqrt(d_j) overflows.
+_SMALLEST_NORMAL = np.finfo(np.float64).tiny
 # The fewest curves a group needs, and why: for a covariance, and for the
 # distinct-index U-statistics that the degrees of freedom read.
 _COVARIANCE_N = (2, "a covariance requires")
@@ -161,10 +163,10 @@ def _spd_inv_sqrt(sym: np.ndarray, rel_tol: float = PD_REL_TOL) -> np.ndarray:
 def _equilibrated_inv_sqrt(sym: np.ndarray, rel_tol: float) -> np.ndarray:
     """S with S sym S^T = I: the root of ``sym`` scaled to unit diagonal, its
     columns divided by the square roots of sym's diagonal, which must be
-    positive; the eigenvalue test sees the scaled matrix."""
+    positive and normal; the eigenvalue test sees the scaled matrix."""
     diag = sym.diagonal()
-    if not (diag > 0).all():  # NaN included
-        raise NotPositiveDefiniteError("matrix has a diagonal entry that is not positive")
+    if not (diag >= _SMALLEST_NORMAL).all():  # NaN included
+        raise NotPositiveDefiniteError("matrix has a diagonal entry below the smallest normal")
     scale = 1.0 / np.sqrt(diag)
     return _spd_inv_sqrt(sym * (scale[:, None] * scale), rel_tol) * scale
 
@@ -213,8 +215,7 @@ def _c0_offset(g: np.ndarray, c0: np.ndarray | None, p: int, m: int) -> np.ndarr
 
 def hn_matrix(c: np.ndarray, n) -> np.ndarray:
     """Weighting matrix C^T (C D C^T)^{-1} C with D = diag(1/n_i); k x k PSD."""
-    spec = c if isinstance(c, ContrastSpec) else ContrastSpec(c)
-    f = _contrast_roots(spec.c, n)[0]
+    f = _contrast_roots(ContrastSpec(c).c, n)[0]
     return f.T @ f
 
 

@@ -164,7 +164,7 @@ def _unbiasedness(reps, p, q, m, n, nus, rho):
     td = true_dof(SeparableCovariances(lam, basis), n, hn, w)
     inv_sqrt = inv_sqrt_spd(td.omega)
     omega_true = OmegaHat(td.omega, inv_sqrt)
-    i_s, t_s, tr2_s, _ = separable_trace_integrals(lam, basis, w, inv_sqrt=inv_sqrt)
+    i_s, t_s, tr2_s, _ = separable_trace_integrals(lam, inv_sqrt @ basis, w)
     _, _, _, sigma_raw = separable_trace_integrals(lam, basis, w)
     h_diag = np.diag(hn)
 

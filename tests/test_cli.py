@@ -338,6 +338,20 @@ def test_cmd_test_overflowing_values_exit_2(tmp_path, capsys):
     assert err["error"] == "ValidationError" and "squares overflow float64" in err["message"]
 
 
+def test_cmd_test_tiny_values_exit_3(tmp_path, capsys):
+    # Values near 1e-156 leave the pooled matrix a subnormal diagonal.
+    data = tmp_path / "data.csv"
+    contrast = tmp_path / "c.csv"
+    ds = gen_sample(SimConfig(n="n3", model=2), [1, 2])
+    groups = tuple(GroupSample(g.values * 1e-156) for g in ds.groups)
+    write_csv(FunctionalDataset(ds.grid, groups), str(data))
+    write_oneway_contrast(contrast, k=ds.k)
+    out = tmp_path / "report.json"
+    code = main(["test", "--data", str(data), "--contrast", str(contrast), "--out", str(out)])
+    assert code == 3
+    assert single_error_line(capsys)["error"] == "SingularOmegaError"
+
+
 def write_small_config(path, **overrides):
     body = {"model": 1, "n": [5, 5, 5, 5], "rho": 0.5, "reps": 2, "seed": 8, **overrides}
     path.write_text(json.dumps(body))

@@ -13,7 +13,6 @@ from mfdglht import (
     ValidationError,
     load_csv,
     make_uniform_grid,
-    validate,
     write_csv,
 )
 from mfdglht.dataset import CHUNK_LINES
@@ -25,7 +24,7 @@ def make_csv(rows):
 
 def test_load_minimal_dataset():
     csv = make_csv(["1,1,1,1,1.0", "1,1,1,2,2.0"])
-    ds = load_csv(csv)
+    ds = load_csv(io.StringIO(csv))
     assert ds.k == 1 and ds.p == 1 and ds.m == 2
     assert np.allclose(ds.group_values(0), [[[1.0, 2.0]]])
 
@@ -33,7 +32,7 @@ def test_load_minimal_dataset():
 def test_duplicate_cell_rejected():
     csv = make_csv(["1,1,1,1,1.0", "1,1,1,1,2.0", "1,1,1,2,0.0"])
     with pytest.raises(IngestionError, match="duplicate cell"):
-        load_csv(csv)
+        load_csv(io.StringIO(csv))
 
 
 def test_component_count_mismatch_rejected():
@@ -45,24 +44,24 @@ def test_component_count_mismatch_rejected():
         for ti in (1, 2):
             rows.append(f"2,1,{comp},{ti},0.5")
     with pytest.raises(IngestionError, match="component count mismatch"):
-        load_csv(make_csv(rows))
+        load_csv(io.StringIO(make_csv(rows)))
 
 
 def test_missing_cell_named():
     csv = make_csv(["1,1,1,1,1.0", "1,1,1,2,2.0", "1,2,1,1,3.0"])
     with pytest.raises(IngestionError, match=r"missing cell \(group=1, obs=2, component=1, time_index=2\)"):
-        load_csv(csv)
+        load_csv(io.StringIO(csv))
 
 
 def test_non_finite_value_rejected():
     csv = make_csv(["1,1,1,1,nan", "1,1,1,2,2.0"])
     with pytest.raises(IngestionError, match="non-finite"):
-        load_csv(csv)
+        load_csv(io.StringIO(csv))
 
 
 def test_comment_lines_ignored():
     csv = "# a comment\ngroup,obs,component,time_index,value\n# another\n1,1,1,1,1.0\n1,1,1,2,2.0\n"
-    ds = load_csv(csv)
+    ds = load_csv(io.StringIO(csv))
     assert ds.m == 2
 
 
@@ -73,7 +72,7 @@ def test_round_trip_is_bit_exact():
     ds = FunctionalDataset(grid, groups)
     buf = io.StringIO()
     write_csv(ds, buf)
-    again = load_csv(buf.getvalue())
+    again = load_csv(io.StringIO(buf.getvalue()))
     for i in range(2):
         assert np.array_equal(ds.group_values(i), again.group_values(i))
     buf2 = io.StringIO()
@@ -117,10 +116,14 @@ def test_write_csv_to_path(tmp_path):
     assert np.array_equal(load_csv(tmp_path / "data.csv").group_values(0), ds.group_values(0))
 
 
-def test_validate_passes_well_formed():
-    grid = make_uniform_grid(3, 0.0, 1.0)
-    ds = FunctionalDataset(grid, (GroupSample(np.zeros((2, 2, 3))),))
-    validate(ds)
+def test_path_with_newline_loads_as_file(tmp_path):
+    # A str path is always a path, whatever characters it holds.
+    rng = np.random.default_rng(2)
+    group = GroupSample(rng.normal(size=(2, 2, 3)))
+    ds = FunctionalDataset(make_uniform_grid(3, 0.0, 1.0), (group,))
+    path = tmp_path / "odd\nname.csv"
+    write_csv(ds, str(path))
+    assert np.array_equal(load_csv(str(path)).group_values(0), ds.group_values(0))
 
 
 def test_group_sample_rejects_nan():
@@ -172,9 +175,9 @@ def line_of(text, row):
     return lines.index(row) + 1
 
 
-def ingestion_message(text, **kwargs):
+def ingestion_message(text):
     with pytest.raises(IngestionError) as info:
-        load_csv(text, **kwargs)
+        load_csv(io.StringIO(text))
     return str(info.value)
 
 
@@ -188,7 +191,7 @@ FAULT_AT = 9  # the row replaced by a faulty one lies after every skipped line
 
 
 def test_skipped_lines_are_accepted():
-    ds = load_csv(layout(cell_rows()))
+    ds = load_csv(io.StringIO(layout(cell_rows())))
     assert ds.n == (2, 2) and ds.p == 2 and ds.m == 2
     assert ds.group_values(0)[0, 0].tolist() == [1.25, 2.25]
     assert ds.group_values(1)[1, 1].tolist() == [15.25, 16.25]
@@ -275,7 +278,7 @@ def test_missing_header_names_line(first):
 
 @pytest.mark.parametrize("text", ["", "\n", "# only a comment\n  \n\t\n"])
 def test_file_without_header(text):
-    assert ingestion_message(io.StringIO(text)) == "empty file: missing header"
+    assert ingestion_message(text) == "empty file: missing header"
 
 
 def test_file_without_data_rows():
@@ -323,7 +326,9 @@ def test_single_time_point_is_an_ingestion_error():
 def test_non_utf8_file_is_an_ingestion_error(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_bytes(layout(cell_rows()).encode().replace(b"3.25", b"3.\xff5"))
-    assert ingestion_message(str(path)) == "file is not valid UTF-8: invalid start byte"
+    with pytest.raises(IngestionError) as info:
+        load_csv(str(path))
+    assert str(info.value) == "file is not valid UTF-8: invalid start byte"
 
 
 @pytest.mark.parametrize(
@@ -411,7 +416,7 @@ def test_load_csv_round_trip_with_shuffled_rows_and_skipped_lines(ds, data):
     ))
     for at, line in sorted(extras, key=lambda extra: -extra[0]):
         lines.insert(at, line)
-    again = load_csv("\n".join(lines) + "\n")
+    again = load_csv(io.StringIO("\n".join(lines) + "\n"))
     assert np.array_equal(again.grid.points, ds.grid.points)
     assert again.n == ds.n
     for before, after in zip(ds.groups, again.groups):
@@ -526,11 +531,11 @@ def test_fault_in_last_chunk_of_long_file(column, raw, message):
 
 def test_skipped_lines_in_every_chunk_load_bit_identically():
     rows = long_rows()
-    clean = load_csv("\n".join([HEADER, *rows]) + "\n")
+    clean = load_csv(io.StringIO("\n".join([HEADER, *rows]) + "\n"))
     lines = [HEADER]
     for at in range(0, len(rows), 1000):
         lines += ["# a comment", " \t ", *rows[at:at + 1000]]
-    commented = load_csv("\n".join(lines) + "\n")
+    commented = load_csv(io.StringIO("\n".join(lines) + "\n"))
     assert commented.n == clean.n
     for before, after in zip(clean.groups, commented.groups):
         assert np.array_equal(before.values.view(np.int64), after.values.view(np.int64))

@@ -269,7 +269,7 @@ def test_k4_gaussian_matches_exact_finite_sample_mean():
     omega_mat = sigma[0] / n
     inv_sqrt = inv_sqrt_spd(omega_mat)
     omega = OmegaHat(omega=omega_mat, inv_sqrt=inv_sqrt)
-    i_s, t_s, tr2_s, _ = separable_trace_integrals(lam, basis, w, inv_sqrt=inv_sqrt)
+    i_s, t_s, tr2_s, _ = separable_trace_integrals(lam, inv_sqrt @ basis, w)
     target = -(i_s[0, 0] + t_s[0, 0] + tr2_s[0]) / n
     means = np.zeros((1, p, m))
     reps = 400
@@ -834,6 +834,11 @@ def _nonuniform_grid(m, seed):
     return Grid(np.r_[0.0, inner, 1.0], 0.0, 1.0)
 
 
+def dense_kernels(lambdas, basis):
+    """Each group's separable kernel as a dense (p, p, m, m) array."""
+    return [np.einsum("r,rps,rqt->pqst", lam, basis, basis) for lam in lambdas]
+
+
 @pytest.mark.parametrize(
     "grid, stream, q, p, k",
     [
@@ -855,20 +860,20 @@ def test_true_dof_dense_matches_separable(grid, stream, q, p, k, monkeypatch):
         basis = rng.normal(size=(q, p, grid.m))
         lam = rng.uniform(0.5, 2.0, size=(k, q))
     sep = SeparableCovariances(lam, basis)
-    dense = [
-        np.einsum("r,rps,rqt->pqst", lam[i], basis, basis) for i in range(k)
-    ]
+    dense = dense_kernels(lam, basis)
     n = [6, 7, 8, 9][:k]
     hn = hn_matrix(oneway_contrast(k).c, n)
     td_sep = true_dof(sep, n, hn, w)
     for inv_sqrt in (None, inv_sqrt_spd(td_sep.omega)):
-        separable = separable_trace_integrals(lam, basis, w, inv_sqrt=inv_sqrt)
+        standardized = basis if inv_sqrt is None else inv_sqrt @ basis
+        separable = separable_trace_integrals(lam, standardized, w)
         for got, want in zip(separable, dense_trace_integrals(dense, w, inv_sqrt)):
             assert np.allclose(got, want, rtol=1e-9, atol=0)
-    # The same degrees of freedom when true_dof reads the dense oracle's integrals.
+    # The same degrees of freedom when true_dof reads the dense oracle's
+    # integrals of the kernels of each basis it passes, standardized or not.
     monkeypatch.setattr(
         "mfdglht.dof.separable_trace_integrals",
-        lambda lambdas, basis, w, inv_sqrt=None: dense_trace_integrals(dense, w, inv_sqrt),
+        lambda lambdas, basis, w: dense_trace_integrals(dense_kernels(lambdas, basis), w),
     )
     td_dense = true_dof(sep, n, hn, w)
     assert td_sep.d_b == pytest.approx(td_dense.d_b, rel=1e-9)
@@ -904,12 +909,10 @@ def test_true_dof_closed_forms_on_component_stream_basis(m):
         ({"lambdas": [[1.0, -0.5, 1.0], [1.0, 1.0, 1.0]]}, "nonnegative"),
         ({"lambdas": np.ones((2, 4))}, "number of terms"),
         ({"w": quad_weights(make_uniform_grid(6, 0.0, 1.0))}, "quadrature weights"),
-        ({"inv_sqrt": np.eye(3)}, "inv_sqrt"),
         ({"lambdas": [[np.nan, 1.0, 1.0], [1.0, 1.0, 1.0]]}, "variance components must be finite"),
         ({"basis": np.full((3, 2, 5), np.inf)}, "basis values must be finite"),
     ],
-    ids=["negative-lambdas", "term-count", "weights-length", "inv-sqrt-shape", "nan-lambdas",
-         "inf-basis"],
+    ids=["negative-lambdas", "term-count", "weights-length", "nan-lambdas", "inf-basis"],
 )
 def test_separable_trace_integrals_rejects_bad_inputs(change, match):
     grid = make_uniform_grid(5, 0.0, 1.0)

@@ -65,6 +65,12 @@ def test_statistics_rejects_singular_m2():
         statistics(np.eye(2), np.outer([1.0, 1.0], [1.0, 1.0]))
 
 
+def test_statistics_rejects_subnormal_m2():
+    # Finite, but the reciprocal square roots of its diagonal overflow when multiplied.
+    with pytest.raises(SingularErrorMatrixError):
+        statistics(1e-309 * np.eye(2), 1e-309 * np.eye(2))
+
+
 def test_statistics_rejects_rank_deficient_m2_in_every_draw():
     # A rank-3 4x4 M2 often leaves LAPACK's Cholesky a tiny positive pivot
     # rather than a nonpositive one, so the factorization alone misses it.

@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from mfdglht import (
     FunctionalDataset,
     GroupSample,
     IngestionError,
+    MfdGlhtError,
     SimConfig,
     ValidationError,
     b_matrix,
@@ -234,22 +237,26 @@ def test_bn_en_expectations_match_under_null():
 
 def test_contrast_csv_loading():
     csv = "row,col,value\n1,1,1\n1,4,-1\n"
-    c = load_contrast_csv(csv)
+    c = load_contrast_csv(io.StringIO(csv))
     assert np.allclose(c, [[1.0, 0.0, 0.0, -1.0]])
 
 
 def test_c0_csv_loading():
     csv = "row,component,time_index,value\n1,1,1,0.5\n1,2,3,-0.25\n"
-    c0 = load_c0_csv(csv, p=2, m=3, q=1)
+    c0 = load_c0_csv(io.StringIO(csv), p=2, m=3, q=1)
     assert c0.shape == (1, 2, 3)
     assert c0[0, 0, 0] == 0.5
     assert c0[0, 1, 2] == -0.25
 
 
 def test_contrast_and_c0_files_skip_blank_and_comment_lines():
-    c = load_contrast_csv("# c\nrow,col,value\n\n   \n  # indented\n1,1,1\n\t\n1,4,-1\n")
+    c = load_contrast_csv(
+        io.StringIO("# c\nrow,col,value\n\n   \n  # indented\n1,1,1\n\t\n1,4,-1\n")
+    )
     assert c.tolist() == [[1.0, 0.0, 0.0, -1.0]]
-    c0 = load_c0_csv("row,component,time_index,value\n  # note\n1,2,3,-0.25\n", p=2, m=3, q=1)
+    c0 = load_c0_csv(
+        io.StringIO("row,component,time_index,value\n  # note\n1,2,3,-0.25\n"), p=2, m=3, q=1
+    )
     assert c0[0, 1, 2] == -0.25 and np.count_nonzero(c0) == 1
 
 
@@ -269,7 +276,7 @@ CONTRAST_CSV_ERRORS = [
 @pytest.mark.parametrize("text, message", CONTRAST_CSV_ERRORS)
 def test_contrast_csv_errors(text, message):
     with pytest.raises(IngestionError) as info:
-        load_contrast_csv(text)
+        load_contrast_csv(io.StringIO(text))
     assert str(info.value) == message
 
 
@@ -291,28 +298,28 @@ def test_contrast_csv_errors(text, message):
 def test_contrast_csv_indices_bounded_by_k(text, message):
     # The bound is checked before the indices size the matrix.
     with pytest.raises(IngestionError) as info:
-        load_contrast_csv("row,col,value\n" + text, k=4)
+        load_contrast_csv(io.StringIO("row,col,value\n" + text), k=4)
     assert str(info.value) == message
-    assert load_contrast_csv("row,col,value\n1,1,1\n3,4,-1\n", k=4).shape == (3, 4)
+    assert load_contrast_csv(io.StringIO("row,col,value\n1,1,1\n3,4,-1\n"), k=4).shape == (3, 4)
 
 
 def test_c0_csv_rows_bounded_by_q():
     header = "row,component,time_index,value\n"
     with pytest.raises(IngestionError) as info:
-        load_c0_csv(header + "1,1,1,1\n1000000000000,1,1,1\n", p=2, m=3, q=1)
+        load_c0_csv(io.StringIO(header + "1,1,1,1\n1000000000000,1,1,1\n"), p=2, m=3, q=1)
     assert str(info.value) == (
         "C0 cell (row=1000000000000, component=1, time_index=1) outside dataset shape "
         "(q=1, p=2, m=3)"
     )
-    assert load_c0_csv(header + "2,2,3,1\n", p=2, m=3, q=2).shape == (2, 2, 3)
+    assert load_c0_csv(io.StringIO(header + "2,2,3,1\n"), p=2, m=3, q=2).shape == (2, 2, 3)
 
 
 def test_bounds_size_sparse_contrast_and_c0():
     # Omitted cells are zero, trailing ones included, once the caller gives the bound.
-    c = load_contrast_csv("row,col,value\n1,1,1\n1,2,-1\n", k=4)
+    c = load_contrast_csv(io.StringIO("row,col,value\n1,1,1\n1,2,-1\n"), k=4)
     assert c.tolist() == [[1.0, -1.0, 0.0, 0.0]]
-    assert load_contrast_csv("row,col,value\n1,1,1\n1,2,-1\n").shape == (1, 2)
-    c0 = load_c0_csv("row,component,time_index,value\n1,2,3,0.5\n", p=2, m=3, q=2)
+    assert load_contrast_csv(io.StringIO("row,col,value\n1,1,1\n1,2,-1\n")).shape == (1, 2)
+    c0 = load_c0_csv(io.StringIO("row,component,time_index,value\n1,2,3,0.5\n"), p=2, m=3, q=2)
     assert c0.shape == (2, 2, 3)
     assert c0[0, 1, 2] == 0.5 and np.count_nonzero(c0) == 1
 
@@ -335,7 +342,7 @@ C0_CSV_ERRORS = [
 @pytest.mark.parametrize("text, message", C0_CSV_ERRORS)
 def test_c0_csv_errors(text, message):
     with pytest.raises(IngestionError) as info:
-        load_c0_csv("row,component,time_index,value\n" + text, p=2, m=3, q=1)
+        load_c0_csv(io.StringIO("row,component,time_index,value\n" + text), p=2, m=3, q=1)
     assert str(info.value) == message
 
 
@@ -370,3 +377,32 @@ def test_values_whose_squares_overflow_are_a_validation_error():
         assert large[name] == pytest.approx(p_value, rel=0, abs=1e-12)
     with pytest.raises(ValidationError, match="squares overflow float64"):
         run_glht(scaled(ds, 1e155), spec)
+
+
+@pytest.mark.parametrize("exponent", range(-100, -175, -1))
+def test_tiny_values_keep_p_values_or_raise_a_typed_error(exponent):
+    # Near 1e-154 the pooled matrix's diagonal turns subnormal, where scaling
+    # it to unit diagonal would overflow: it is then reported as singular.
+    cfg = SimConfig(n="n3", model=2)
+    ds, spec = gen_sample(cfg, [1, 2]), cfg.contrast_spec()
+    try:
+        tiny = run_glht(scaled(ds, 10.0**exponent), spec).p_values
+    except MfdGlhtError:
+        assert exponent < -150
+        return
+    for name, p_value in run_glht(ds, spec).p_values.items():
+        assert tiny[name] == pytest.approx(p_value, rel=0, abs=1e-10)
+
+
+@pytest.mark.parametrize("a, b", [(-3.0, 7.0), (100.0, 100.5), (0.0, 1e6)])
+def test_grid_domain_cancels(a, b):
+    # The statistics read the grid only through its quadrature weights; on a
+    # uniform grid the span scales B, every sigma_i and Omega alike.
+    cfg = SimConfig(n="n3", model=2)
+    ds, spec = gen_sample(cfg, [1, 2]), cfg.contrast_spec()
+    unit = run_glht(FunctionalDataset(make_uniform_grid(ds.m, 0.0, 1.0), ds.groups), spec)
+    moved = run_glht(FunctionalDataset(make_uniform_grid(ds.m, a, b), ds.groups), spec)
+    assert moved.dof.d_b == pytest.approx(unit.dof.d_b, rel=1e-12, abs=0)
+    assert moved.dof.d_e == pytest.approx(unit.dof.d_e, rel=1e-12, abs=0)
+    for name, p_value in unit.p_values.items():
+        assert moved.p_values[name] == pytest.approx(p_value, rel=1e-12, abs=0)
