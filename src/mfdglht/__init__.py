@@ -2,10 +2,14 @@
 
 from .dataset import (
     FunctionalDataset,
+    Grid,
     GroupSample,
+    QuadWeights,
     load_c0_csv,
     load_contrast_csv,
     load_csv,
+    make_uniform_grid,
+    quad_weights,
     write_csv,
 )
 from .dof import (
@@ -60,7 +64,6 @@ from .glht import (
     oneway_contrast,
     sigma_hat,
 )
-from .grid import Grid, QuadWeights, make_uniform_grid, quad_weights
 from .simulate import (
     SimConfig,
     StudyResult,

@@ -1,7 +1,11 @@
-"""Ingestion and validation of multivariate functional samples; the one CSV reader.
+"""Multivariate functional samples, their grid and quadrature weights; the one CSV reader.
 
 A dataset holds ``k`` independent groups of discretized p-dimensional
-curves observed on one shared grid. The on-disk format is a long (tidy)
+curves observed on one shared grid of strictly increasing time points.
+Every time integral in the library is a weighted sum over that grid, with
+its trapezoidal weights (``quad_weights``); double integrals use the
+tensor product of the same weights. ``_sqrt_weights`` is the one place
+that ties weights to curves. The on-disk format is a long (tidy)
 CSV with header ``group,obs,component,time_index,value``; indices are
 1-based in files and 0-based in memory. The contrast and C0 files share
 its grammar and fault messages (``_read_rows``, ``_row_fault``). Every
@@ -19,16 +23,87 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IngestionError, ValidationError
-from .grid import Grid, make_uniform_grid
 
-__all__ = ["GroupSample", "FunctionalDataset", "load_csv", "write_csv",
-           "load_contrast_csv", "load_c0_csv"]
+__all__ = ["Grid", "QuadWeights", "make_uniform_grid", "quad_weights", "GroupSample",
+           "FunctionalDataset", "load_csv", "write_csv", "load_contrast_csv", "load_c0_csv"]
 
 CSV_HEADER = ("group", "obs", "component", "time_index", "value")
 CONTRAST_HEADER = ("row", "col", "value")
 C0_HEADER = ("row", "component", "time_index", "value")
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 _INT64_MAX = np.iinfo(np.int64).max
+
+
+def _frozen_array(values) -> np.ndarray:
+    arr = np.ascontiguousarray(values, dtype=np.float64)
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True)
+class Grid:
+    """Strictly increasing time points; the domain is [points[0], points[-1]]."""
+
+    points: np.ndarray
+
+    def __post_init__(self):
+        pts = _frozen_array(self.points)
+        object.__setattr__(self, "points", pts)
+        if pts.ndim != 1 or pts.size < 2:
+            raise ValidationError("grid needs at least 2 points")
+        if not np.all(np.isfinite(pts)):
+            raise ValidationError("grid points must be finite")
+        if np.any(np.diff(pts) <= 0):
+            raise ValidationError("grid points must be strictly increasing")
+
+    @property
+    def m(self) -> int:
+        return self.points.size
+
+
+@dataclass(frozen=True)
+class QuadWeights:
+    """Nonnegative quadrature weights, one per grid point."""
+
+    weights: np.ndarray
+
+    def __post_init__(self):
+        w = _frozen_array(self.weights)
+        object.__setattr__(self, "weights", w)
+        if w.ndim != 1 or not np.all(np.isfinite(w)) or np.any(w < 0):
+            raise ValidationError("quadrature weights must be a 1-D vector, finite and nonnegative")
+
+
+def make_uniform_grid(m: int, a: float, b: float) -> Grid:
+    """Build a grid of ``m`` equidistant points including both endpoints."""
+    if int(m) != m or m < 2:
+        raise ValidationError("grid size must be an integer >= 2")
+    if not (a < b):
+        raise ValidationError("domain bounds must satisfy a < b")
+    return Grid(np.linspace(a, b, int(m)))
+
+
+def quad_weights(grid: Grid) -> QuadWeights:
+    """Trapezoidal weights for the grid.
+
+    For interior points the weight is half the width of the two adjacent
+    intervals, ``(x[j+1] - x[j-1]) / 2``; endpoints get half their single
+    interval. For a uniform grid with spacing h this is (h/2, h, ..., h, h/2).
+    The weights are positive and sum to the span x[-1] - x[0].
+    """
+    x = grid.points
+    w = np.empty_like(x)
+    w[0] = (x[1] - x[0]) / 2.0
+    w[-1] = (x[-1] - x[-2]) / 2.0
+    w[1:-1] = (x[2:] - x[:-2]) / 2.0
+    return QuadWeights(w)
+
+
+def _sqrt_weights(w: QuadWeights, m: int) -> np.ndarray:
+    """Square roots of the weights ``w``, checked against curves on ``m`` points."""
+    if w.weights.size != m:
+        raise ValidationError(f"quadrature weights have {w.weights.size} points, the curves {m}")
+    return np.sqrt(w.weights)  # real: QuadWeights are nonnegative
 
 
 @dataclass(frozen=True)
@@ -38,8 +113,7 @@ class GroupSample:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.values, dtype=np.float64)
-        arr.flags.writeable = False
+        arr = _frozen_array(self.values)
         object.__setattr__(self, "values", arr)
         if arr.ndim != 3:
             raise ValidationError("group values must have shape (n_obs, p, m)")
@@ -51,10 +125,6 @@ class GroupSample:
                 f"non-finite value at (obs={bad[0] + 1}, component={bad[1] + 1}, "
                 f"time_index={bad[2] + 1})"
             )
-
-    @property
-    def n_obs(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass(frozen=True)
@@ -85,8 +155,8 @@ class FunctionalDataset:
                     f"time grid mismatch: group {i + 1} has {g.values.shape[2]} points, "
                     f"grid has {m}"
                 )
-        # GroupSample's own constructor guarantees finiteness and n_obs >= 1.
-        object.__setattr__(self, "n", tuple(g.n_obs for g in groups))
+        # GroupSample's own constructor guarantees finiteness and at least one curve.
+        object.__setattr__(self, "n", tuple(g.values.shape[0] for g in groups))
 
     @property
     def k(self) -> int:

@@ -57,7 +57,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import blas
 
-from .dataset import FunctionalDataset
+from .dataset import FunctionalDataset, QuadWeights, _sqrt_weights
 from .errors import DegenerateDofError, ValidationError
 from .glht import (
     _COVARIANCE_N,
@@ -72,7 +72,6 @@ from .glht import (
     _require_sizes,
     omega_hat,
 )
-from .grid import QuadWeights
 
 __all__ = [
     "WithinGroupUStats",
@@ -191,7 +190,7 @@ def pair_trace_integrals(block: np.ndarray, p: int) -> tuple[float, float]:
 
 def _standardized_gram(ds: FunctionalDataset, groups, omega: OmegaHat, w: QuadWeights):
     """Upper triangle of the Gram of the prepared curves of ``groups`` under ``omega``."""
-    _, curves = _centered_weighted([ds.group_values(i) for i in groups], np.sqrt(w.weights))
+    _, curves = _centered_weighted([ds.group_values(i) for i in groups], _sqrt_weights(w, ds.m))
     return gram_upper((omega.inv_sqrt @ curves).reshape(-1, ds.m))
 
 
@@ -388,7 +387,7 @@ def dof_estimates(
     denominator contribution estimates a variance and is clamped at zero
     from below; clamping is reported per group in the result's diagnostics.
     """
-    design = _design(spec, ds.n, w, ds.p, _USTAT_N)
+    design = _design(spec, ds.n, w, ds.p, ds.m, _USTAT_N)
     if glht is None:
         curves = _prepare(design, [ds.group_values(i) for i in design.touched])[2]
     elif glht.hn.shape != design.hn.shape or not np.allclose(
@@ -467,9 +466,7 @@ def separable_trace_integrals(
     cov = SeparableCovariances(lambdas, basis)
     lam, phi = cov.lambdas, cov.basis
     r, p, m = phi.shape
-    if w.weights.size != m:
-        raise ValidationError(f"quadrature weights have {w.weights.size} points, the basis {m}")
-    flat = (phi * np.sqrt(w.weights)).reshape(r * p, m)
+    flat = (phi * _sqrt_weights(w, m)).reshape(r * p, m)
     a = symmetric_block(gram_upper(flat), 0, r * p).reshape(r, p, r, p)
     sigma = np.einsum("ir,rprq->ipq", lam, a)
     i_mat = lam @ np.einsum("rpsq,rpsq->rs", a, a) @ lam.T

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import betainc
 
-from .dataset import FunctionalDataset
+from .dataset import FunctionalDataset, quad_weights
 from .dof import DofEstimate, _Dof, _dof, _dof_estimate
 from .errors import (
     ApproximationUndefinedError,
@@ -37,7 +37,6 @@ from .errors import (
     ValidationError,
 )
 from .glht import _USTAT_N, ContrastSpec, _Design, _design, _equilibrated_inv_sqrt, _prepare
-from .grid import quad_weights
 
 __all__ = [
     "TestStatistics",
@@ -147,10 +146,13 @@ class TestReport:
 
 def _theta(root: np.ndarray, m1: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of M2^{-1} M1, given a ``root`` with
-    root^T root = M2^{-1}: the spectrum of the symmetric root M1 root^T."""
-    sym = root @ m1 @ root.T
+    root^T root = M2^{-1}: the spectrum of the symmetric root M1 root^T.
+    ``statistics`` checks M1 and M2 for finiteness first, so a non-finite
+    product is an overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sym = root @ m1 @ root.T
     if not np.isfinite(sym).all():
-        raise ValidationError("M1 and M2 must be finite")
+        raise ValidationError("M2^{-1} M1 overflows float64")
     theta = np.linalg.eigvalsh(sym)
     # By Sylvester's law of inertia theta has the signs of M1's eigenvalues.
     if theta[0] < -1e-8 * max(1.0, np.abs(theta).max()):
@@ -367,7 +369,7 @@ def run_glht(
     """Run all three tests end to end on one dataset and contrast."""
     if not (0.0 < alpha < 1.0):
         raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
-    design = _design(spec, ds.n, quad_weights(ds.grid), ds.p, _USTAT_N)
+    design = _design(spec, ds.n, quad_weights(ds.grid), ds.p, ds.m, _USTAT_N)
     dof, m1, m2, theta = _dof_and_statistics(
         design, [ds.group_values(i) for i in design.touched]
     )

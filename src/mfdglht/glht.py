@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import FunctionalDataset
+from .dataset import FunctionalDataset, QuadWeights, _sqrt_weights
 from .errors import (
     ContrastRankError,
     InsufficientReplicationError,
@@ -42,7 +42,6 @@ from .errors import (
     SingularOmegaError,
     ValidationError,
 )
-from .grid import QuadWeights
 
 __all__ = [
     "ContrastSpec",
@@ -247,7 +246,7 @@ def b_matrix(means: np.ndarray, spec: ContrastSpec, w: QuadWeights, n) -> np.nda
     if spec.k != k:
         raise ValidationError(f"contrast has {spec.k} columns but dataset has {k} groups")
     f, g = _contrast_roots(spec.c, n)
-    return _bn(means, f, _c0_offset(g, spec.c0, p, m), np.sqrt(w.weights))
+    return _bn(means, f, _c0_offset(g, spec.c0, p, m), _sqrt_weights(w, m))
 
 
 def group_means(ds: FunctionalDataset) -> np.ndarray:
@@ -300,7 +299,7 @@ def sigma_hat(ds: FunctionalDataset, i: int, w: QuadWeights) -> np.ndarray:
     Requires at least two observations in the group.
     """
     _require_sizes(ds.n, (i,), *_COVARIANCE_N)
-    _, curves = _centered_weighted([ds.group_values(i)], np.sqrt(w.weights))
+    _, curves = _centered_weighted([ds.group_values(i)], _sqrt_weights(w, ds.m))
     return _integrated_covs(curves, [0], np.array([ds.n[i]], dtype=np.float64))[0]
 
 
@@ -371,16 +370,17 @@ class _Design:
     h_touched: np.ndarray  # H restricted to the touched groups
 
 
-def _design(spec: ContrastSpec, sizes: tuple[int, ...], w: QuadWeights, p: int,
+def _design(spec: ContrastSpec, sizes: tuple[int, ...], w: QuadWeights, p: int, m: int,
             min_n: tuple[int, str]) -> _Design:
     """The design of a test of ``spec`` on groups of ``sizes`` curves with p
-    components on ``w``'s grid; checks that C has one column per group, that
-    C0 has the curves' shape and that every group has at least the curves
-    ``min_n`` asks for: ``_COVARIANCE_N`` for the variation matrices alone,
-    ``_USTAT_N`` wherever the degrees of freedom are estimated."""
+    components on m grid points, integrated with ``w``; checks that C has one
+    column per group, that ``w`` and C0 fit the curves and that every group
+    has at least the curves ``min_n`` asks for: ``_COVARIANCE_N`` for the
+    variation matrices alone, ``_USTAT_N`` wherever the degrees of freedom
+    are estimated."""
     if spec.k != len(sizes):
         raise ValidationError(f"contrast has {spec.k} columns but dataset has {len(sizes)} groups")
-    m = w.weights.size
+    sqrt_w = _sqrt_weights(w, m)
     f, g = _contrast_roots(spec.c, sizes)  # the one factorization that H and B share
     hn = f.T @ f
     offset = _c0_offset(g, spec.c0, p, m)
@@ -393,7 +393,7 @@ def _design(spec: ContrastSpec, sizes: tuple[int, ...], w: QuadWeights, p: int,
         sizes=tuple(sizes),
         p=p,
         m=m,
-        sqrt_w=np.sqrt(w.weights),  # real: QuadWeights are nonnegative
+        sqrt_w=sqrt_w,
         hn=hn,
         touched=touched,
         n=n,
@@ -417,7 +417,8 @@ def _prepare(design: _Design, values) -> tuple[np.ndarray, OmegaHat, np.ndarray]
         pooled = _pooled(_integrated_covs(curves, design.starts, design.n), design.omega_weights)
         level = design.omega_weights @ np.square(means * design.sqrt_w).sum(axis=2)
     if not (np.isfinite(pooled).all() and np.isfinite(level).all()):
-        raise ValidationError("values too large: their squares overflow float64")
+        raise ValidationError("values too large for the quadrature weights: "
+                              "their weighted squares overflow float64")
     if (pooled.diagonal() <= ROUNDING_REL_TOL * level).any():
         raise SingularOmegaError("pooled covariance matrix is numerically singular: "
                                  "no larger than rounding the curves' values leaves it")
@@ -439,7 +440,7 @@ def build_glht(ds: FunctionalDataset, spec: ContrastSpec, w: QuadWeights) -> Glh
     centered curves; the pooled inverse square root then standardizes those
     curves in place. Every group's size is still checked, read or not.
     """
-    design = _design(spec, ds.n, w, ds.p, _COVARIANCE_N)
+    design = _design(spec, ds.n, w, ds.p, ds.m, _COVARIANCE_N)
     bn, omega, curves = _prepare(design, [ds.group_values(i) for i in design.touched])
     # E equals the pooled matrix term for term, so it is not summed a second time.
     return GlhtMatrices(hn=design.hn, bn=bn, en=omega.omega, omega=omega, standardized=curves,

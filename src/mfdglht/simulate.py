@@ -29,11 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import FunctionalDataset, GroupSample
+from .dataset import FunctionalDataset, Grid, GroupSample, make_uniform_grid, quad_weights
 from .errors import DegeneracyError, InputError, ValidationError
 from .fstats import STATISTIC_NAMES, _dof_and_statistics, _f_tests, _functionals
 from .glht import _USTAT_N, ContrastSpec, _design, oneway_contrast
-from .grid import Grid, make_uniform_grid, quad_weights
 
 __all__ = [
     "SimConfig",
@@ -392,7 +391,7 @@ def _setting_sampler(cfg: SimConfig):
         cfg.n,
         cfg.model,
     )
-    return lambda seed: sampler(np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed))))
+    return lambda seed: sampler(np.random.default_rng(seed))
 
 
 def gen_sample(cfg: SimConfig, seed) -> FunctionalDataset:
@@ -413,7 +412,7 @@ def size_power_study(cfg: SimConfig) -> StudyResult:
     spec = cfg.contrast_spec()
     start = time.perf_counter()
     draw = _setting_sampler(cfg)
-    design = _design(spec, cfg.n, quad_weights(cfg.grid()), cfg.p, _USTAT_N)
+    design = _design(spec, cfg.n, quad_weights(cfg.grid()), cfg.p, cfg.m, _USTAT_N)
     touched = design.touched.tolist()
     rejections = {name: 0 for name in STATISTIC_NAMES}
     errors: dict[str, int] = {}
@@ -490,7 +489,7 @@ def permutation_pvalue(
         raise InputError("permutation test requires a pure contrast (C 1_k = 0)")
     if b < 99:
         raise InputError("use at least 99 permutations")
-    design = _design(spec, ds.n, quad_weights(ds.grid), ds.p, _USTAT_N)
+    design = _design(spec, ds.n, quad_weights(ds.grid), ds.p, ds.m, _USTAT_N)
     values = [ds.group_values(i) for i in design.touched]
 
     def stat_value(groups) -> float:
@@ -498,7 +497,7 @@ def permutation_pvalue(
 
     observed = stat_value(values)
     pooled = np.concatenate(values, axis=0)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    rng = np.random.default_rng(seed)
     exceed = 0
     for _ in range(b):
         order = rng.permutation(pooled.shape[0])
@@ -542,7 +541,7 @@ def load_config_file(path) -> list[SimConfig]:
         try:
             cfg = SimConfig(**merged)
             _setting_sampler(cfg)
-            _design(cfg.contrast_spec(), cfg.n, quad_weights(cfg.grid()), cfg.p, _USTAT_N)
+            _design(cfg.contrast_spec(), cfg.n, quad_weights(cfg.grid()), cfg.p, cfg.m, _USTAT_N)
         except (TypeError, ValueError, InputError, MemoryError) as exc:
             raise InputError(f"setting {idx + 1}: {exc}") from None
         configs.append(cfg)

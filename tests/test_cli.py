@@ -338,6 +338,18 @@ def test_cmd_test_overflowing_values_exit_2(tmp_path, capsys):
     assert err["error"] == "ValidationError" and "squares overflow float64" in err["message"]
 
 
+def test_cmd_test_alpha_outside_unit_interval_exit_2(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    contrast = tmp_path / "c.csv"
+    out = tmp_path / "report.json"
+    write_dataset(data)
+    write_oneway_contrast(contrast)
+    argv = ["test", "--data", str(data), "--contrast", str(contrast), "--out", str(out)]
+    assert main([*argv, "--alpha", "1.5"]) == 2
+    assert single_error_line(capsys)["message"] == "alpha must lie in (0, 1), got 1.5"
+    assert not out.exists()
+
+
 def test_cmd_test_tiny_values_exit_3(tmp_path, capsys):
     # Values near 1e-156 leave the pooled matrix a subnormal diagonal.
     data = tmp_path / "data.csv"

@@ -831,7 +831,7 @@ def test_true_dof_single_group_ratio():
 
 def _nonuniform_grid(m, seed):
     inner = np.sort(np.random.default_rng(seed).uniform(0.0, 1.0, m - 2))
-    return Grid(np.r_[0.0, inner, 1.0], 0.0, 1.0)
+    return Grid(np.r_[0.0, inner, 1.0])
 
 
 def dense_kernels(lambdas, basis):

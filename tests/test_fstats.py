@@ -71,6 +71,12 @@ def test_statistics_rejects_subnormal_m2():
         statistics(1e-309 * np.eye(2), 1e-309 * np.eye(2))
 
 
+def test_statistics_reports_an_overflowing_product():
+    # Both matrices are finite; M2^{-1} M1 = 1e310 I is not.
+    with pytest.raises(ValidationError, match=r"M2\^\{-1\} M1 overflows float64"):
+        statistics(1e10 * np.eye(2), 1e-300 * np.eye(2))
+
+
 def test_statistics_rejects_rank_deficient_m2_in_every_draw():
     # A rank-3 4x4 M2 often leaves LAPACK's Cholesky a tiny positive pivot
     # rather than a nonpositive one, so the factorization alone misses it.
@@ -385,7 +391,7 @@ def test_pass_reads_theta_through_the_pooled_root(path, monkeypatch):
     theta_of = fstats._theta
     monkeypatch.setattr(fstats, "_theta", lambda *args: thetas.append(theta_of(*args)) or thetas[-1])
     for cfg in load_config_file(str(path))[:3]:
-        design = _design(cfg.contrast_spec(), cfg.n, quad_weights(cfg.grid()), cfg.p, _USTAT_N)
+        design = _design(cfg.contrast_spec(), cfg.n, quad_weights(cfg.grid()), cfg.p, cfg.m, _USTAT_N)
         for seed in (1, 2, 3):
             groups = gen_sample(cfg, [seed, 0]).groups
             calls.clear()

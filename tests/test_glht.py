@@ -394,7 +394,7 @@ def test_tiny_values_keep_p_values_or_raise_a_typed_error(exponent):
         assert tiny[name] == pytest.approx(p_value, rel=0, abs=1e-10)
 
 
-@pytest.mark.parametrize("a, b", [(-3.0, 7.0), (100.0, 100.5), (0.0, 1e6)])
+@pytest.mark.parametrize("a, b", [(-3.0, 7.0), (100.0, 100.5), (0.0, 1e6), (0.0, 1e300)])
 def test_grid_domain_cancels(a, b):
     # The statistics read the grid only through its quadrature weights; on a
     # uniform grid the span scales B, every sigma_i and Omega alike.
@@ -406,3 +406,13 @@ def test_grid_domain_cancels(a, b):
     assert moved.dof.d_e == pytest.approx(unit.dof.d_e, rel=1e-12, abs=0)
     for name, p_value in unit.p_values.items():
         assert moved.p_values[name] == pytest.approx(p_value, rel=1e-12, abs=0)
+
+
+def test_huge_span_overflow_names_the_weights():
+    # On [0, 1e308] each weight is near 1e306: the values are ordinary, their
+    # weighted squares are not.
+    cfg = SimConfig(n="n3", model=2)
+    ds, spec = gen_sample(cfg, [1, 2]), cfg.contrast_spec()
+    huge = FunctionalDataset(make_uniform_grid(ds.m, 0.0, 1e308), ds.groups)
+    with pytest.raises(ValidationError, match="values too large for the quadrature weights"):
+        run_glht(huge, spec)

@@ -3,7 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from mfdglht.dataset import FunctionalDataset, GroupSample
+from mfdglht.dataset import FunctionalDataset, GroupSample, make_uniform_grid, quad_weights
 from mfdglht.dof import (
     gram_upper,
     pair_trace_integrals,
@@ -12,7 +12,6 @@ from mfdglht.dof import (
     within_group_scalars,
 )
 from mfdglht.glht import OmegaHat
-from mfdglht.grid import make_uniform_grid, quad_weights
 
 
 def brute_gram(z, w):
