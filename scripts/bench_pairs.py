@@ -29,7 +29,9 @@ the file keeps them under ``calls``.
 
 Each side's line counts of ``src/mfdglht/*.py``, per file and in total, are
 kept under ``src_lines``, so a change's size comes from the same file as
-its timings.
+its timings. The sorted public names of the ``mfdglht`` package that are
+not modules are kept under ``exports``, so the file also shows a change to
+the API.
 
 Last, each side runs the Tier-1 test suite once (``TIER1`` below, with the
 side's ``src`` first on ``PYTHONPATH``); the file keeps its wall time, its
@@ -73,6 +75,13 @@ for name, run in runs.items():
     profile.runcall(run)
     counts[name] = pstats.Stats(profile).total_calls
 print(json.dumps(counts))
+"""
+EXPORTS = """
+import json, sys, types
+sys.path.insert(0, sys.argv[1])
+import mfdglht
+print(json.dumps(sorted(name for name in dir(mfdglht) if not name.startswith("_")
+                        and not isinstance(getattr(mfdglht, name), types.ModuleType))))
 """
 
 
@@ -125,6 +134,13 @@ def run_tier1(checkout: Path) -> dict:
 def count_calls(checkout: Path) -> dict:
     """cProfile call counts of ``CALLS``'s two runs on ``checkout``'s library."""
     done = subprocess.run([sys.executable, "-c", CALLS, str(checkout / "src")],
+                          capture_output=True, text=True, check=True, timeout=RUN_TIMEOUT_S)
+    return json.loads(done.stdout)
+
+
+def exports(checkout: Path) -> list:
+    """The sorted public names of ``checkout``'s package that are not modules."""
+    done = subprocess.run([sys.executable, "-c", EXPORTS, str(checkout / "src")],
                           capture_output=True, text=True, check=True, timeout=RUN_TIMEOUT_S)
     return json.loads(done.stdout)
 
@@ -211,6 +227,7 @@ def main(argv=None) -> int:
                                       for key in ("attempted", "failed", "metrics")}
         result["calls"] = {side: count_calls(checkout) for side, checkout in sides.items()}
         result["src_lines"] = {side: src_lines(checkout) for side, checkout in sides.items()}
+        result["exports"] = {side: exports(checkout) for side, checkout in sides.items()}
         result["tier1"] = {"command": "PYTHONPATH=src python " + " ".join(TIER1)}
         for side, checkout in sides.items():
             result["tier1"][side] = run_tier1(checkout)

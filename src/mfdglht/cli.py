@@ -95,8 +95,6 @@ def _study_rows(result) -> list[dict]:
 def cmd_simulate(args) -> int:
     configs = load_config_file(args.config)
     if args.reps is not None:
-        if args.reps < 1:
-            raise InputError("--reps must be >= 1")
         configs = [dataclasses.replace(cfg, reps=args.reps) for cfg in configs]
     if args.seed is not None:
         configs = [dataclasses.replace(cfg, seed=args.seed) for cfg in configs]

@@ -137,6 +137,8 @@ class FunctionalDataset:
     n: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.grid, Grid):
+            raise ValidationError("grid must be a Grid")
         groups = tuple(self.groups)
         object.__setattr__(self, "groups", groups)
         if not groups:

@@ -5,6 +5,21 @@ with the inputs (``InputError``, exit code 2) and numerical degeneracies
 discovered during computation (``DegeneracyError``, exit code 3).
 """
 
+__all__ = [
+    "MfdGlhtError",
+    "InputError",
+    "IngestionError",
+    "ValidationError",
+    "InsufficientReplicationError",
+    "ContrastRankError",
+    "DegeneracyError",
+    "NotPositiveDefiniteError",
+    "SingularOmegaError",
+    "SingularErrorMatrixError",
+    "DegenerateDofError",
+    "ApproximationUndefinedError",
+]
+
 
 class MfdGlhtError(Exception):
     """Base class for all library errors."""

@@ -55,7 +55,6 @@ __all__ = [
     "group_means",
     "sigma_hat",
     "omega_hat",
-    "inv_sqrt_spd",
 ]
 
 RANK_REL_TOL = 1e-10
@@ -149,7 +148,8 @@ def oneway_contrast(k: int) -> ContrastSpec:
 
 
 def _spd_inv_sqrt(sym: np.ndarray, rel_tol: float = PD_REL_TOL) -> np.ndarray:
-    """``inv_sqrt_spd`` of a matrix already known to be square and symmetric."""
+    """Symmetric inverse square root of a symmetric matrix by one ``eigh``; raises
+    ``NotPositiveDefiniteError`` at an eigenvalue at most ``rel_tol`` times the largest."""
     eigvals, eigvecs = np.linalg.eigh(sym)
     if eigvals[-1] <= 0 or eigvals[0] <= rel_tol * eigvals[-1]:
         raise NotPositiveDefiniteError(
@@ -168,21 +168,6 @@ def _equilibrated_inv_sqrt(sym: np.ndarray, rel_tol: float) -> np.ndarray:
         raise NotPositiveDefiniteError("matrix has a diagonal entry below the smallest normal")
     scale = 1.0 / np.sqrt(diag)
     return _spd_inv_sqrt(sym * (scale[:, None] * scale), rel_tol) * scale
-
-
-def inv_sqrt_spd(a: np.ndarray) -> np.ndarray:
-    """Symmetric inverse square root of an SPD matrix via eigendecomposition.
-
-    Raises ``NotPositiveDefiniteError`` when any eigenvalue falls at or
-    below ``PD_REL_TOL`` times the largest one.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError("expected a square matrix")
-    scale = np.max(np.abs(a)) if a.size else 0.0
-    if scale > 0 and np.max(np.abs(a - a.T)) > 1e-10 * scale:
-        raise ValidationError("matrix is not symmetric")
-    return _spd_inv_sqrt((a + a.T) / 2.0)
 
 
 def _contrast_roots(c: np.ndarray, n) -> tuple[np.ndarray, np.ndarray]:

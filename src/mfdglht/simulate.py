@@ -37,17 +37,9 @@ from .glht import _USTAT_N, ContrastSpec, _design, oneway_contrast
 __all__ = [
     "SimConfig",
     "StudyResult",
-    "N_PRESETS",
-    "SCENARIO_NUS",
-    "CONTRAST_PRESETS",
-    "scalar_basis",
-    "basis_functions",
     "component_stream_basis",
     "component_stream_lambdas",
     "mean_functions",
-    "lambda_grid",
-    "draw_innovations",
-    "sample_curves",
     "gen_sample",
     "size_power_study",
     "are_metric",
@@ -209,25 +201,6 @@ def component_weights(p: int) -> np.ndarray:
     return ell / np.sqrt(np.sum(ell**2))
 
 
-def basis_functions(p: int, q: int, grid: Grid) -> np.ndarray:
-    """Common-direction orthonormal vector basis curves, shape (q, p, m).
-
-    The r-th curve is the scalar basis curve psi_r stacked onto the fixed
-    direction (c_1, ..., c_p); the curves are orthonormal (the time
-    integral of phi_r . phi_m is 1 when r = m and 0 otherwise).
-
-    Covariances built on this family put all variation along one p-vector,
-    so a sample drawn from them has a singular pooled covariance whenever
-    p > 1. They serve analytic computations (trace functionals have
-    closed forms); data generation uses ``component_stream_basis``.
-    """
-    if q % 2 == 0 or q < 1:
-        raise ValidationError("q must be odd (paired sine/cosine construction)")
-    c = component_weights(p)
-    psi = scalar_basis(q, grid)
-    return c[None, :, None] * psi[:, None, :]
-
-
 def component_stream_basis(p: int, q: int, grid: Grid) -> np.ndarray:
     """Basis giving every component its own innovation stream, shape (q*p, p, m).
 
@@ -320,26 +293,17 @@ def draw_innovations(rng: np.random.Generator, shape, model: int) -> np.ndarray:
 
 
 def _component_sampler(grid: Grid, means, lambdas, basis, n, model: int):
-    """Check one component-model setting and return ``draw(rng)``, which
-    draws one dataset from it.
+    """``draw(rng)``, which draws one dataset from the component model.
 
-    ``means`` is (k, p, m), ``lambdas`` (k, q), ``basis`` (q, p, m). The
-    checks, the square roots of the lambdas and the flattened basis are
-    computed here once; ``draw`` pays only for its innovations and one
-    matrix product per group. Groups are generated in order, each consuming
-    its innovations from the shared stream.
+    ``means`` is a float (k, p, m) array, ``lambdas`` (k, q), ``basis``
+    (q, p, m) and ``n`` k group sizes; the caller makes them agree. Group
+    i's curves are ``means[i] + (eps * sqrt(lambdas[i])) @ basis`` with
+    ``eps`` its (n_i, q) innovations. The square roots of the lambdas and
+    the flattened basis are computed here once; ``draw`` pays only for its
+    innovations and one matrix product per group. Groups are generated in
+    order, each consuming its innovations from the shared stream.
     """
-    means = np.asarray(means, dtype=np.float64)
-    lambdas = np.atleast_2d(np.asarray(lambdas, dtype=np.float64))
-    basis = np.asarray(basis, dtype=np.float64)
-    k, p, m = means.shape
-    n = tuple(int(v) for v in n)
-    if lambdas.shape[0] != k or len(n) != k:
-        raise ValidationError("means, lambdas, and n disagree on the group count")
-    if basis.shape[0] != lambdas.shape[1]:
-        raise ValidationError("basis and lambdas disagree on the number of terms")
-    if basis.shape[1:] != (p, m):
-        raise ValidationError("basis and means disagree on the curve shape (p, m)")
+    _, p, m = means.shape
     sqrt_lam = np.sqrt(lambdas)
     # (q, p*m) lets BLAS form every curve of a group in one product.
     flat_basis = basis.reshape(basis.shape[0], p * m)
@@ -354,26 +318,6 @@ def _component_sampler(grid: Grid, means, lambdas, basis, n, model: int):
         return FunctionalDataset(grid, tuple(groups))
 
     return draw
-
-
-def sample_curves(
-    means: np.ndarray,
-    lambdas: np.ndarray,
-    basis: np.ndarray,
-    n,
-    model: int,
-    rng: np.random.Generator,
-) -> FunctionalDataset:
-    """Draw one dataset from the component model.
-
-    ``means`` is (k, p, m), ``lambdas`` (k, q), ``basis`` (q, p, m). Group
-    i's curves are ``means[i] + (eps * sqrt(lambdas[i])) @ basis`` with
-    ``eps`` its (n_i, q) innovations. Groups are generated in order, each
-    consuming its innovations from the shared stream.
-    """
-    m = np.shape(means)[2]
-    sampler = _component_sampler(make_uniform_grid(m, 0.0, 1.0), means, lambdas, basis, n, model)
-    return sampler(rng)
 
 
 def _setting_sampler(cfg: SimConfig):

@@ -8,13 +8,53 @@ rewrite, at a cost that only small inputs can afford:
   centered curves' self-kernels;
 - ``dense_trace_integrals`` integrates dense covariance kernels of shape
   (p, p, m, m) by quadrature, the oracle for ``separable_trace_integrals``.
+
+It also holds helpers that only the tests call: ``inv_sqrt_spd``, the
+library's one symmetric root of a symmetrized matrix; ``basis_functions``,
+the common-direction basis with closed-form trace functionals; and
+``sample_curves``, the component-model sampler on any means, variance
+components and basis.
 """
 
 from itertools import permutations
 
 import numpy as np
 
-from mfdglht import WithinGroupUStats
+from mfdglht import FunctionalDataset, WithinGroupUStats, make_uniform_grid
+from mfdglht.glht import _spd_inv_sqrt
+from mfdglht.simulate import _component_sampler, component_weights, scalar_basis
+
+
+def inv_sqrt_spd(a) -> np.ndarray:
+    """Symmetric inverse square root of the symmetric part of ``a``, by the
+    routine ``run_glht`` factors with; raises ``NotPositiveDefiniteError``."""
+    return _spd_inv_sqrt((a + a.T) / 2.0)
+
+
+def basis_functions(p: int, q: int, grid) -> np.ndarray:
+    """Common-direction orthonormal vector basis curves, shape (q, p, m).
+
+    The r-th curve is the scalar basis curve psi_r stacked onto the fixed
+    direction (c_1, ..., c_p). Covariances built on it put all variation
+    along one p-vector, so their trace functionals have closed forms; a
+    sample drawn from them has a singular pooled covariance when p > 1.
+    """
+    return component_weights(p)[None, :, None] * scalar_basis(q, grid)[:, None, :]
+
+
+def sample_curves(means, lambdas, basis, n, model: int, rng) -> FunctionalDataset:
+    """One dataset from the component model on [0, 1]: group i's curves are
+    ``means[i] + (eps * sqrt(lambdas[i])) @ basis`` with ``eps`` its (n_i, q)
+    innovations, drawn group by group from ``rng``.
+
+    ``means`` is (k, p, m), ``lambdas`` (k, q) and ``basis`` (q, p, m).
+    """
+    means = np.asarray(means, dtype=np.float64)
+    lambdas = np.atleast_2d(np.asarray(lambdas, dtype=np.float64))
+    basis = np.asarray(basis, dtype=np.float64)
+    n = tuple(int(v) for v in n)
+    grid = make_uniform_grid(means.shape[2], 0.0, 1.0)
+    return _component_sampler(grid, means, lambdas, basis, n, model)(rng)
 
 
 def ustat_within_naive(ds, i, omega, w) -> WithinGroupUStats:

@@ -30,15 +30,14 @@ from mfdglht import (
     true_dof,
     ustat_within_fast,
 )
-from mfdglht.glht import ContrastSpec, OmegaHat, hn_matrix, inv_sqrt_spd
+from mfdglht.glht import ContrastSpec, OmegaHat, hn_matrix
 from mfdglht.simulate import (
     N_PRESETS,
     SCENARIO_NUS,
     component_stream_basis,
     component_stream_lambdas,
-    sample_curves,
 )
-from oracles import ustat_within_naive
+from oracles import inv_sqrt_spd, sample_curves, ustat_within_naive
 
 SEED = 20240901
 STATS = ("mfw", "mflh", "mfp")

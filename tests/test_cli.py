@@ -269,7 +269,7 @@ def test_cmd_simulate_zero_reps_exit_2(tmp_path, capsys):
         ["simulate", "--config", str(config), "--out", str(out), "--reps", "0"]
     )
     assert code == 2
-    json.loads(capsys.readouterr().err.strip())
+    assert "reps must be >= 1" in json.loads(capsys.readouterr().err.strip())["message"]
 
 
 def test_cmd_simulate_bad_config_exit_2(tmp_path, capsys):
@@ -559,3 +559,13 @@ def test_cmd_report_tolerates_padding_and_blank_lines(tmp_path):
     with open(out, newline="", encoding="utf-8") as fh:
         (row,) = list(csv.DictReader(fh))
     assert (row["label"], row["statistic"], row["rate_pct"]) == ("a", "mfw", "5.0")
+
+
+def test_cmd_simulate_seed_override_is_recorded(tmp_path):
+    config = tmp_path / "sim.json"
+    config.write_text(json.dumps({"model": 1, "n": [5, 5, 5, 5], "rho": 0.5, "reps": 2,
+                                  "seed": 8}))
+    out = tmp_path / "a.csv"
+    assert main(["simulate", "--config", str(config), "--out", str(out), "--seed", "5"]) == 0
+    summary = json.loads((tmp_path / "a.summary.json").read_text())
+    assert [s["seed"] for s in summary["settings"]] == [5]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from mfdglht import (
     FunctionalDataset,
+    Grid,
     GroupSample,
     IngestionError,
     ValidationError,
@@ -552,3 +553,48 @@ def test_malformed_line_is_reported_before_earlier_index_below_one(chunk_lines, 
     rows[FAULT_AT] = bad
     text = layout(rows)
     assert ingestion_message(text) == f"line {line_of(text, bad)}: value 'x' is not a number"
+
+
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        pytest.param([0.0], "grid needs at least 2 points", id="one-point"),
+        pytest.param([0.0, np.nan, 1.0], "grid points must be finite", id="nonfinite"),
+    ],
+)
+def test_grid_rejects_invalid_points(points, message):
+    with pytest.raises(ValidationError) as err:
+        Grid(np.array(points))
+    assert type(err.value) is ValidationError and str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        pytest.param(np.zeros((3, 5)), "group values must have shape (n_obs, p, m)", id="2-d"),
+        pytest.param(np.zeros((0, 2, 5)), "each group needs at least one observation",
+                     id="no-rows"),
+    ],
+)
+def test_group_sample_rejects_invalid_values(values, message):
+    with pytest.raises(ValidationError) as err:
+        GroupSample(values)
+    assert type(err.value) is ValidationError and str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "grid, shapes, message",
+    [
+        pytest.param(make_uniform_grid(5, 0.0, 1.0), [(3, 2, 5), (3, 3, 5)],
+                     "component count mismatch: group 2 has p=3, group 1 has p=2",
+                     id="component-counts"),
+        pytest.param(np.linspace(0.0, 1.0, 5), [(3, 2, 5)], "grid must be a Grid",
+                     id="grid-ndarray"),
+        pytest.param(None, [(3, 2, 5)], "grid must be a Grid", id="grid-none"),
+    ],
+)
+def test_functional_dataset_rejects_invalid_input(grid, shapes, message):
+    groups = tuple(GroupSample(np.zeros(shape)) for shape in shapes)
+    with pytest.raises(ValidationError) as err:
+        FunctionalDataset(grid, groups)
+    assert type(err.value) is ValidationError and str(err.value) == message

@@ -30,15 +30,20 @@ from mfdglht import (
     ustat_within_fast,
 )
 from mfdglht.dof import gram_upper
-from mfdglht.glht import ContrastSpec, OmegaHat, hn_matrix, inv_sqrt_spd
+from mfdglht.glht import ContrastSpec, OmegaHat, hn_matrix
 from mfdglht.simulate import (
-    basis_functions,
     component_stream_basis,
     component_weights,
     lambda_grid,
     scalar_basis,
 )
-from oracles import dense_trace_integrals, ustat_within_naive
+from oracles import (
+    basis_functions,
+    dense_trace_integrals,
+    inv_sqrt_spd,
+    sample_curves,
+    ustat_within_naive,
+)
 
 
 def dataset_from(groups, m):
@@ -274,8 +279,6 @@ def test_k4_gaussian_matches_exact_finite_sample_mean():
     means = np.zeros((1, p, m))
     reps = 400
     vals = np.empty(reps)
-    from mfdglht.simulate import sample_curves
-
     for r in range(reps):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([31, r])))
         ds = sample_curves(means, lam, basis, [n], 1, rng)
@@ -927,3 +930,20 @@ def test_true_dof_rejects_dense_kernels():
     hn = hn_matrix(oneway_contrast(2).c, [6, 7])
     with pytest.raises(ValidationError, match="SeparableCovariances"):
         true_dof(dense, [6, 7], hn, quad_weights(grid))
+
+
+def test_separable_covariances_rejects_a_two_dimensional_basis():
+    with pytest.raises(ValidationError) as err:
+        SeparableCovariances(np.ones((1, 3)), np.ones((3, 5)))
+    assert type(err.value) is ValidationError
+    assert str(err.value) == "basis must have shape (q, p, m)"
+
+
+def test_true_dof_rejects_kurtosis_of_the_wrong_length():
+    grid = make_uniform_grid(5, 0.0, 1.0)
+    covs = SeparableCovariances(np.ones((2, 3)), np.ones((3, 1, grid.m)) * np.arange(1, 6))
+    hn = hn_matrix(np.array([[1.0, -1.0]]), [6, 6])
+    with pytest.raises(ValidationError) as err:
+        true_dof(covs, [6, 6], hn, quad_weights(grid), kurtosis=[0.0])
+    assert type(err.value) is ValidationError
+    assert str(err.value) == "kurtosis must supply one value per group"

@@ -29,7 +29,8 @@ from mfdglht import (
     statistics,
 )
 from mfdglht.fstats import _theta
-from mfdglht.glht import _USTAT_N, _design, inv_sqrt_spd
+from mfdglht.glht import _USTAT_N, _design
+from oracles import inv_sqrt_spd
 
 
 def test_statistics_identity_matrices():
@@ -473,3 +474,17 @@ def test_report_json_is_strict_for_an_untouched_group():
         assert all(row[2] is None for row in dof[name])
         assert dof[name][2] == [None] * 4
         assert dof[name][0][3] == getattr(report.dof, name)[0, 3]
+
+
+def test_statistics_rejects_non_square_input():
+    with pytest.raises(ValidationError) as err:
+        statistics(np.zeros((2, 3)), np.eye(2))
+    assert type(err.value) is ValidationError
+    assert str(err.value) == "M1 and M2 must be square matrices of equal size"
+
+
+def test_f_sf_rejects_negative_x():
+    with pytest.raises(InputError) as err:
+        f_sf(-0.5, 1, 2)
+    assert type(err.value) is InputError
+    assert str(err.value) == "the F distribution is supported on x >= 0"

@@ -10,10 +10,13 @@ from mfdglht import (
     GroupSample,
     IngestionError,
     MfdGlhtError,
+    SeparableCovariances,
     SimConfig,
     ValidationError,
     b_matrix,
     build_glht,
+    component_stream_basis,
+    component_stream_lambdas,
     e_matrix,
     gen_sample,
     group_means,
@@ -25,7 +28,9 @@ from mfdglht import (
     quad_weights,
     run_glht,
     sigma_hat,
+    true_dof,
 )
+from oracles import sample_curves
 
 
 def random_dataset(rng, n=(5, 6, 4), p=2, m=7):
@@ -203,9 +208,6 @@ def test_proposition2_matrix_invariance():
 def test_bn_en_expectations_match_under_null():
     # Under the null both variation matrices are unbiased for the pooled
     # matrix; checked against the analytic value at moderate replication.
-    from mfdglht.simulate import component_stream_basis, component_stream_lambdas, sample_curves
-    from mfdglht import SeparableCovariances, true_dof
-
     grid = make_uniform_grid(10, 0.0, 1.0)
     w = quad_weights(grid)
     p, q = 2, 3
@@ -416,3 +418,37 @@ def test_huge_span_overflow_names_the_weights():
     huge = FunctionalDataset(make_uniform_grid(ds.m, 0.0, 1e308), ds.groups)
     with pytest.raises(ValidationError, match="values too large for the quadrature weights"):
         run_glht(huge, spec)
+
+
+@pytest.mark.parametrize(
+    "args, error, message",
+    [
+        pytest.param(([[1.0, np.nan]],), ValidationError, "contrast matrix must be finite",
+                     id="nonfinite-c"),
+        pytest.param(([[1.0, -1.0], [1.0, 0.0], [0.0, 1.0]],), ContrastRankError,
+                     "contrast has more rows (3) than groups (2)", id="more-rows-than-groups"),
+        pytest.param(([[1.0, -1.0]], np.zeros((2, 3))), ValidationError,
+                     "C0 must have shape (q, p, m)", id="c0-shape"),
+        pytest.param(([[1.0, -1.0]], np.full((1, 2, 3), np.inf)), ValidationError,
+                     "C0 must be finite", id="nonfinite-c0"),
+    ],
+)
+def test_contrast_spec_rejects_invalid_input(args, error, message):
+    with pytest.raises(error) as err:
+        ContrastSpec(np.array(args[0]), *args[1:])
+    assert type(err.value) is error and str(err.value) == message
+
+
+def test_oneway_contrast_needs_two_groups():
+    with pytest.raises(ValidationError) as err:
+        oneway_contrast(1)
+    assert type(err.value) is ValidationError
+    assert str(err.value) == "one-way contrast needs k >= 2 groups"
+
+
+def test_run_glht_rejects_contrast_with_wrong_column_count():
+    ds = gen_sample(SimConfig(n=(5, 5, 5, 5), m=6, reps=1), [1, 0])
+    with pytest.raises(ValidationError) as err:
+        run_glht(ds, ContrastSpec(np.array([[1.0, -1.0, 0.0]])))
+    assert type(err.value) is ValidationError
+    assert str(err.value) == "contrast has 3 columns but dataset has 4 groups"

@@ -7,14 +7,15 @@ from mfdglht import (
     InsufficientReplicationError,
     NotPositiveDefiniteError,
     SingularOmegaError,
+    ValidationError,
     group_means,
-    inv_sqrt_spd,
     make_uniform_grid,
     omega_hat,
     quad_weights,
     sigma_hat,
 )
-from mfdglht.simulate import basis_functions, lambda_grid, sample_curves
+from mfdglht.simulate import lambda_grid
+from oracles import basis_functions, inv_sqrt_spd, sample_curves
 
 
 def dataset_from(groups, m=2, a=0.0, b=1.0):
@@ -170,3 +171,18 @@ def test_sigma_hat_statistical_unbiasedness_smoke():
     mean = acc / reps
     se = np.sqrt(np.maximum(sq / reps - mean**2, 1e-30) / reps)
     assert np.all(np.abs(mean - target) <= 5 * se + 1e-12)
+
+
+@pytest.mark.parametrize(
+    "h_diag, message",
+    [
+        pytest.param([1.0, 1.0, 1.0], "sigmas, h_diag, and n must have the same length",
+                     id="lengths"),
+        pytest.param([0.0, 0.0], "diagonal hypothesis weights must be nonnegative, some positive",
+                     id="no-positive-weight"),
+    ],
+)
+def test_omega_hat_rejects_invalid_input(h_diag, message):
+    with pytest.raises(ValidationError) as err:
+        omega_hat([np.eye(2), np.eye(2)], h_diag, [5, 5])
+    assert type(err.value) is ValidationError and str(err.value) == message

@@ -8,7 +8,8 @@ exercising the full pipeline inside every relabeled replication.
 import numpy as np
 
 from mfdglht import oneway_contrast, permutation_pvalue, run_glht
-from mfdglht.simulate import component_stream_basis, component_stream_lambdas, sample_curves
+from mfdglht.simulate import component_stream_basis, component_stream_lambdas
+from oracles import sample_curves
 
 SMALL = dict(k=4, p=2, q=3, m=10, n=(6, 6, 6, 6), nus=(1.5, 1.5, 1.5, 1.5), rho=0.5)
 

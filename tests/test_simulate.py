@@ -9,7 +9,6 @@ from mfdglht import (
     SingularOmegaError,
     ValidationError,
     are_metric,
-    basis_functions,
     component_stream_basis,
     component_stream_lambdas,
     gen_sample,
@@ -17,7 +16,6 @@ from mfdglht import (
     permutation_pvalue,
     quad_weights,
     run_glht,
-    sample_curves,
     size_power_study,
 )
 from mfdglht import build_glht, dof_estimates, statistics
@@ -32,6 +30,7 @@ from mfdglht.simulate import (
     mean_functions,
     scalar_basis,
 )
+from oracles import basis_functions, sample_curves
 
 
 def test_mean_functions_equal_across_groups_at_delta_zero():
@@ -472,3 +471,46 @@ def test_config_with_explicit_contrast_compares_and_hashes():
     assert SimConfig(contrast=[1, 0, 0, -1]).contrast == ((1.0, 0.0, 0.0, -1.0),)
     with pytest.raises(ValidationError, match="q x k matrix"):
         SimConfig(contrast=[[[1, -1, 0, 0]]])
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        pytest.param({"n": "n9"}, "unknown sample-size preset 'n9'", id="n-preset"),
+        pytest.param({"n": (5, 0, 5, 5)}, "group sizes must be positive", id="group-size"),
+        pytest.param({"scenario": "S3"}, "scenario must be one of ['S1', 'S2']", id="scenario"),
+        pytest.param({"model": 4}, "model must be 1, 2, or 3", id="model"),
+        pytest.param({"rho": 1.0}, "rho must lie in (0, 1)", id="rho"),
+        pytest.param({"q": 6}, "q must be odd (paired sine/cosine construction)", id="q"),
+        pytest.param({"delta": -1}, "delta must be >= 0", id="delta"),
+        pytest.param({"alpha": 0}, "alpha must lie in (0, 1)", id="alpha"),
+        pytest.param({"reps": 0}, "reps must be >= 1", id="reps"),
+        pytest.param({"m": 1}, "need p >= 1 and m >= 2", id="m"),
+        pytest.param({"contrast": "foo"}, "unknown contrast preset 'foo'", id="contrast"),
+    ],
+)
+def test_sim_config_rejects_invalid_settings(kwargs, message):
+    with pytest.raises(ValidationError) as err:
+        SimConfig(**kwargs).contrast_spec()
+    assert type(err.value) is ValidationError and str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        pytest.param({"statistic": "foo"}, "statistic must be one of ('mfw', 'mflh', 'mfp')",
+                     id="statistic"),
+        pytest.param({"b": 50}, "use at least 99 permutations", id="too-few-permutations"),
+    ],
+)
+def test_permutation_pvalue_rejects_invalid_arguments(kwargs, message):
+    ds = gen_sample(SimConfig(n=(5, 5, 5, 5), m=6, reps=1), [1, 0])
+    with pytest.raises(InputError) as err:
+        permutation_pvalue(ds, oneway_contrast(4), **kwargs)
+    assert type(err.value) is InputError and str(err.value) == message
+
+
+def test_are_metric_rejects_nonpositive_nominal_level():
+    with pytest.raises(InputError) as err:
+        are_metric([5.0], 0.0)
+    assert type(err.value) is InputError and str(err.value) == "nominal level must be positive"
