@@ -33,6 +33,14 @@ its timings. The sorted public names of the ``mfdglht`` package that are
 not modules are kept under ``exports``, so the file also shows a change to
 the API.
 
+Each side's start-up cost is kept under ``import``: ``IMPORT`` below runs
+in ``IMPORT_RUNS`` fresh processes per side, the sides alternating, with
+BLAS pinned to one thread. The file keeps the median wall time of
+``import mfdglht`` and the median ``ru_maxrss`` right after it, each with
+its runs, and the sorted third-party top-level modules loaded by the
+import and one ``run_glht``: those absent at interpreter start whose file
+lies in a site-packages directory.
+
 Last, each side runs the Tier-1 test suite once (``TIER1`` below, with the
 side's ``src`` first on ``PYTHONPATH``); the file keeps its wall time, its
 exit code and its passed/skipped/failed counts under ``tier1``.
@@ -58,6 +66,7 @@ ENV_PREFIX = "environment: "
 RUN_TIMEOUT_S = 900
 TRACE_SEED = 2
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 CALLS = """
 import cProfile, dataclasses, json, pstats, sys
 sys.path.insert(0, sys.argv[1])
@@ -75,6 +84,22 @@ for name, run in runs.items():
     profile.runcall(run)
     counts[name] = pstats.Stats(profile).total_calls
 print(json.dumps(counts))
+"""
+IMPORT_RUNS = 7
+IMPORT = """
+import json, resource, sys, time
+sys.path.insert(0, sys.argv[1])
+at_start = {name.split(".")[0] for name in sys.modules}
+started = time.perf_counter()
+import mfdglht as lib
+import_s = time.perf_counter() - started
+maxrss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+cfg = lib.SimConfig(n="n3", model=2)
+lib.run_glht(lib.gen_sample(cfg, [1, 2]), cfg.contrast_spec())
+loaded = {name.split(".")[0] for name in sys.modules} - at_start
+third_party = sorted(name for name in loaded - {"mfdglht"} if not name.startswith("_")
+                     and "-packages" in (getattr(sys.modules[name], "__file__", None) or ""))
+print(json.dumps({"import_s": import_s, "maxrss_kb": maxrss_kb, "third_party": third_party}))
 """
 EXPORTS = """
 import json, sys, types
@@ -136,6 +161,23 @@ def count_calls(checkout: Path) -> dict:
     done = subprocess.run([sys.executable, "-c", CALLS, str(checkout / "src")],
                           capture_output=True, text=True, check=True, timeout=RUN_TIMEOUT_S)
     return json.loads(done.stdout)
+
+
+def import_costs(sides: dict) -> dict:
+    """``IMPORT``'s start-up cost of each side, over ``IMPORT_RUNS`` alternating runs."""
+    env = {**os.environ, **{var: "1" for var in BLAS_THREAD_VARS}}
+    runs = {side: [] for side in sides}
+    for i in range(IMPORT_RUNS):
+        for side in (list(sides) if i % 2 == 0 else list(sides)[::-1]):
+            done = subprocess.run([sys.executable, "-c", IMPORT, str(sides[side] / "src")],
+                                  capture_output=True, text=True, check=True,
+                                  timeout=RUN_TIMEOUT_S, env=env)
+            runs[side].append(json.loads(done.stdout))
+    return {side: {"runs": IMPORT_RUNS,
+                   "import_s": spread([r["import_s"] for r in rs]),
+                   "maxrss_mb": spread([r["maxrss_kb"] / 1024 for r in rs]),
+                   "third_party_modules": rs[-1]["third_party"]}
+            for side, rs in runs.items()}
 
 
 def exports(checkout: Path) -> list:
@@ -228,6 +270,7 @@ def main(argv=None) -> int:
         result["calls"] = {side: count_calls(checkout) for side, checkout in sides.items()}
         result["src_lines"] = {side: src_lines(checkout) for side, checkout in sides.items()}
         result["exports"] = {side: exports(checkout) for side, checkout in sides.items()}
+        result["import"] = import_costs(sides)
         result["tier1"] = {"command": "PYTHONPATH=src python " + " ".join(TIER1)}
         for side, checkout in sides.items():
             result["tier1"][side] = run_tier1(checkout)

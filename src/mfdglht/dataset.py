@@ -143,10 +143,11 @@ class FunctionalDataset:
         object.__setattr__(self, "groups", groups)
         if not groups:
             raise ValidationError("dataset needs at least one group")
-        p, m = groups[0].values.shape[1], self.grid.m
         for i, g in enumerate(groups):
             if not isinstance(g, GroupSample):
                 raise ValidationError(f"group {i + 1} is not a GroupSample")
+        p, m = groups[0].values.shape[1], self.grid.m
+        for i, g in enumerate(groups):
             if g.values.shape[1] != p:
                 raise ValidationError(
                     f"component count mismatch: group {i + 1} has p={g.values.shape[1]}, "

@@ -13,21 +13,23 @@ indexed by (observation, component),
 
     K[(a, h), (c, l)] = integral of z_a(t)[h] z_c(t)[l] dt,
 
-each functional becomes a small contraction of p x p blocks of K. Once K
-exists nothing touches the time grid again: the whole cost in m is one
-symmetric rank-m update (``gram_upper``), and the other kernels take a
-block of K and never see curves. A group whose column of the contrast is
-zero has h_ii = 0 and h_ij = 0, so its functionals enter neither
-denominator, and the preparation pass (``glht._prepare``) reads only the
-other groups' curves: each group centered by its own mean, scaled by
-sqrt(w) and transformed by the pooled inverse square root. ``_dof``, the
-degrees-of-freedom step of the per-dataset pass, forms their Gram once and
-reads every touched group and pair from its blocks, at the rows of the
-test's design (``glht._design``), with weights from H on the touched
-groups. The within-group U-statistics use an inclusion-exclusion rewrite
-in terms of complete-sum aggregates, never touching 3- or 4-tuples. The
-distinct-tuple U-statistics are invariant to a common shift, so centering
-changes no exact value. It removes the cancellation that a large offset
+each functional becomes a small contraction of p x p blocks of K. Once a
+block of K exists nothing touches the time grid again: the whole cost in m
+is one matrix product per block, and the other kernels take a block and
+never see curves. A group whose column of the contrast is zero has h_ii = 0
+and h_ij = 0, so its functionals enter neither denominator, and the
+preparation pass (``glht._prepare``) reads only the other groups' curves:
+each group centered by its own mean, scaled by sqrt(w) and transformed by
+the pooled inverse square root. ``_dof``, the degrees-of-freedom step of
+the per-dataset pass, forms the upper triangle of their Gram block by
+block, at the rows of the test's design (``glht._design``): z_g z_g^T for
+each touched group g (numpy's symmetric rank-m update, which returns the
+full block) and z_a z_b^T for each touched pair a < b, each formed once and
+read once, with weights from H on the touched groups. The within-group
+U-statistics use an inclusion-exclusion rewrite in terms of complete-sum
+aggregates, never touching 3- or 4-tuples. The distinct-tuple
+U-statistics are invariant to a common shift, so centering changes no
+exact value. It removes the cancellation that a large offset
 of the curves would otherwise cause. Centered curves also sum to zero over
 a group's observations at every time point, so every aggregate that
 contains a row sum of a block is exactly zero: five of the rewrite's nine
@@ -55,7 +57,6 @@ from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import blas
 
 from .dataset import FunctionalDataset, QuadWeights, _sqrt_weights
 from .errors import DegenerateDofError, ValidationError
@@ -120,27 +121,6 @@ class DofEstimate:
         return any(self.clamped_b) or any(self.clamped_e)
 
 
-def gram_upper(a: np.ndarray) -> np.ndarray:
-    """Upper triangle of ``a @ a.T`` for a C-ordered ``a`` of shape (r, m), by one BLAS ``dsyrk``.
-
-    Entries below the diagonal are not computed and stay zero: read
-    off-diagonal blocks from the upper side and pass diagonal blocks through
-    ``symmetric_block``.
-    """
-    # a.T is Fortran-ordered, so BLAS reads it in place; trans=1 gives a @ a.T.
-    # dsyrk writes only the upper triangle of c, so the zeros below it remain.
-    c = np.zeros((a.shape[0], a.shape[0]), order="F")
-    return blas.dsyrk(1.0, a.T, c=c, trans=1, lower=0, overwrite_c=1)
-
-
-def symmetric_block(gram: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Full symmetric diagonal block ``gram[lo:hi, lo:hi]`` of a ``gram_upper`` result."""
-    upper = gram[lo:hi, lo:hi]
-    block = upper + upper.T
-    np.fill_diagonal(block, upper.diagonal())
-    return block
-
-
 def within_group_scalars(block: np.ndarray, p: int) -> np.ndarray:
     """The four nonzero aggregate double integrals of one group from its
     symmetric Gram block; the group's curves must be centered by its mean.
@@ -184,14 +164,15 @@ def pair_trace_integrals(block: np.ndarray, p: int) -> tuple[float, float]:
     the two returned values are sum_{j,j'} ||X[j,j']||_F^2 and
     sum_{j,j'} tr(X[j,j'] X[j,j'])."""
     n1, n2 = block.shape[0] // p, block.shape[1] // p
-    x = np.ascontiguousarray(block).reshape(n1, p, n2, p)
+    x = block.reshape(n1, p, n2, p)
     return float(np.vdot(x, x)), float(np.vdot(x, x.transpose(0, 3, 2, 1)))
 
 
-def _standardized_gram(ds: FunctionalDataset, groups, omega: OmegaHat, w: QuadWeights):
-    """Upper triangle of the Gram of the prepared curves of ``groups`` under ``omega``."""
+def _standardized_rows(ds: FunctionalDataset, groups, omega: OmegaHat, w: QuadWeights):
+    """The prepared curves of ``groups`` under ``omega``, one (n_i p, m) array per group."""
     _, curves = _centered_weighted([ds.group_values(i) for i in groups], _sqrt_weights(w, ds.m))
-    return gram_upper((omega.inv_sqrt @ curves).reshape(-1, ds.m))
+    z = (omega.inv_sqrt @ curves).reshape(-1, ds.m)
+    return np.split(z, np.cumsum([ds.n[i] * ds.p for i in groups[:-1]]))
 
 
 def _within_functionals(scalars: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -261,22 +242,20 @@ class _Dof(NamedTuple):
 
 
 def _dof(design: _Design, curves: np.ndarray) -> _Dof:
-    """The degrees of freedom from one Gram of the standardized curves of the
-    touched groups; ``DegenerateDofError`` when a clamped denominator is not
-    positive."""
+    """The degrees of freedom from the Gram blocks of the standardized curves
+    of the touched groups; ``DegenerateDofError`` when a clamped denominator
+    is not positive."""
     p, n, h = design.p, design.n, design.h_touched
-    rows = [slice(p * r.start, p * r.stop) for r in design.curves]
-    gram = gram_upper(curves.reshape(-1, design.m))
-    scalars = np.array([within_group_scalars(symmetric_block(gram, r.start, r.stop), p)
-                        for r in rows])
+    z = [curves[rows].reshape(-1, design.m) for rows in design.curves]
+    scalars = np.array([within_group_scalars(zg @ zg.T, p) for zg in z])
     functionals = _within_functionals(scalars, n)
     # The I and T matrices: between-group terms off the diagonal, within on it.
-    cross = np.zeros((2, len(rows), len(rows)))
-    for a, b in combinations(range(len(rows)), 2):
-        cross[:, a, b] = pair_trace_integrals(gram[rows[a], rows[b]], p)
+    cross = np.zeros((2, len(z), len(z)))
+    for a, b in combinations(range(len(z)), 2):
+        cross[:, a, b] = pair_trace_integrals(z[a] @ z[b].T, p)
     cross *= _cross_scale(n)
     cross += cross.transpose(0, 2, 1)
-    diag = np.arange(len(rows))
+    diag = np.arange(len(z))
     cross[:, diag, diag] = functionals[:2]
     i_cross, t_cross = cross
 
@@ -327,10 +306,9 @@ def ustat_within_fast(
     ``dof_estimates`` runs over every group it reads, on this group's Gram alone.
     """
     _require_sizes(ds.n, (i,), *_USTAT_N)
-    n_i = ds.n[i]
-    gram = _standardized_gram(ds, (i,), omega, w)
-    scalars = within_group_scalars(symmetric_block(gram, 0, n_i * ds.p), ds.p)
-    functionals = _within_functionals(scalars[None], np.array([n_i], dtype=np.float64))
+    (zi,) = _standardized_rows(ds, (i,), omega, w)
+    scalars = within_group_scalars(zi @ zi.T, ds.p)
+    functionals = _within_functionals(scalars[None], np.array([ds.n[i]], dtype=np.float64))
     return WithinGroupUStats(*functionals[:, 0].tolist())
 
 
@@ -365,9 +343,8 @@ def cross_terms(
     if i1 == i2:
         raise ValidationError("cross terms need two distinct groups; use the within path")
     _require_sizes(ds.n, (i1, i2), *_COVARIANCE_N)
-    split = ds.n[i1] * ds.p
-    gram = _standardized_gram(ds, (i1, i2), omega, w)
-    i_val, t_val = pair_trace_integrals(gram[:split, split:], ds.p)
+    z1, z2 = _standardized_rows(ds, (i1, i2), omega, w)
+    i_val, t_val = pair_trace_integrals(z1 @ z2.T, ds.p)
     scale = _cross_scale(np.array([ds.n[i1], ds.n[i2]], dtype=np.float64))[0, 1]
     return i_val * scale, t_val * scale
 
@@ -467,7 +444,7 @@ def separable_trace_integrals(
     lam, phi = cov.lambdas, cov.basis
     r, p, m = phi.shape
     flat = (phi * _sqrt_weights(w, m)).reshape(r * p, m)
-    a = symmetric_block(gram_upper(flat), 0, r * p).reshape(r, p, r, p)
+    a = (flat @ flat.T).reshape(r, p, r, p)
     sigma = np.einsum("ir,rprq->ipq", lam, a)
     i_mat = lam @ np.einsum("rpsq,rpsq->rs", a, a) @ lam.T
     t_mat = lam @ np.einsum("rpsq,rqsp->rs", a, a) @ lam.T

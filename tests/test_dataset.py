@@ -583,7 +583,7 @@ def test_group_sample_rejects_invalid_values(values, message):
 
 
 @pytest.mark.parametrize(
-    "grid, shapes, message",
+    "grid, groups, message",
     [
         pytest.param(make_uniform_grid(5, 0.0, 1.0), [(3, 2, 5), (3, 3, 5)],
                      "component count mismatch: group 2 has p=3, group 1 has p=2",
@@ -591,10 +591,13 @@ def test_group_sample_rejects_invalid_values(values, message):
         pytest.param(np.linspace(0.0, 1.0, 5), [(3, 2, 5)], "grid must be a Grid",
                      id="grid-ndarray"),
         pytest.param(None, [(3, 2, 5)], "grid must be a Grid", id="grid-none"),
+        pytest.param(make_uniform_grid(5, 0.0, 1.0), [np.zeros((3, 2, 5))],
+                     "group 1 is not a GroupSample", id="group-ndarray"),
     ],
 )
-def test_functional_dataset_rejects_invalid_input(grid, shapes, message):
-    groups = tuple(GroupSample(np.zeros(shape)) for shape in shapes)
+def test_functional_dataset_rejects_invalid_input(grid, groups, message):
+    # A shape stands for a GroupSample of zeros; an array is passed as it is.
+    groups = tuple(g if isinstance(g, np.ndarray) else GroupSample(np.zeros(g)) for g in groups)
     with pytest.raises(ValidationError) as err:
         FunctionalDataset(grid, groups)
     assert type(err.value) is ValidationError and str(err.value) == message

@@ -1,12 +1,14 @@
 import sys
 import warnings
 from dataclasses import astuple
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mfdglht.dof as dof_module
 from mfdglht import (
     FunctionalDataset,
     Grid,
@@ -29,7 +31,6 @@ from mfdglht import (
     true_dof,
     ustat_within_fast,
 )
-from mfdglht.dof import gram_upper
 from mfdglht.glht import ContrastSpec, OmegaHat, hn_matrix
 from mfdglht.simulate import (
     component_stream_basis,
@@ -412,19 +413,26 @@ def test_dof_estimates_match_public_wrappers(case, monkeypatch):
         spec = oneway_contrast(3)
     glht = build_glht(ds, spec, w)
 
-    grams = []
+    blocks = {"within": [], "pair": []}
+    kernels = {"within": dof_module.within_group_scalars, "pair": dof_module.pair_trace_integrals}
 
-    def counting_gram(a):
-        grams.append(a.shape)
-        return gram_upper(a)
+    def counting(kind):
+        def kernel(block, p):
+            blocks[kind].append(block.shape)
+            return kernels[kind](block, p)
+        return kernel
 
-    monkeypatch.setattr("mfdglht.dof.gram_upper", counting_gram)
+    monkeypatch.setattr(dof_module, "within_group_scalars", counting("within"))
+    monkeypatch.setattr(dof_module, "pair_trace_integrals", counting("pair"))
     pooled = dof_estimates(ds, spec, w, glht=glht)
     # Group 3 has a zero column of C in the first two cases, so it is not read.
     touched = [0, 1, 3] if case != "oneway" else [0, 1, 2]
     assert glht.touched == tuple(touched)
-    # One Gram of the touched groups' curves, nothing else over m.
-    assert grams == [(sum(sizes[i] for i in touched) * p, m)]
+    # One Gram of the touched groups' curves, block by block: each group's
+    # diagonal block and each pair's block above the diagonal, read once.
+    rows = [sizes[i] * p for i in touched]
+    assert blocks["within"] == [(r, r) for r in rows]
+    assert blocks["pair"] == [(rows[a], rows[b]) for a, b in combinations(range(len(rows)), 2)]
     monkeypatch.undo()
 
     d_b, d_e, within, cross = _assembled_from_wrappers(ds, spec, w)
@@ -464,29 +472,31 @@ def test_curves_are_prepared_once_per_run(monkeypatch):
     rng = np.random.default_rng(44)
     ds = dataset_from([rng.normal(size=(n, 2, 6)) for n in (5, 6, 7)], m=6)
     spec = oneway_contrast(3)
-    calls = {"prepare": 0, "gram": 0}
-    prepare = sys.modules["mfdglht.glht"]._centered_weighted
+    calls = {"prepare": 0, "within": 0, "pair": 0}
+    originals = {"prepare": sys.modules["mfdglht.glht"]._centered_weighted,
+                 "within": dof_module.within_group_scalars,
+                 "pair": dof_module.pair_trace_integrals}
 
-    def counting_prepare(*args, **kwargs):
-        calls["prepare"] += 1
-        return prepare(*args, **kwargs)
-
-    def counting_gram(a):
-        calls["gram"] += 1
-        return gram_upper(a)
+    def counting(kind):
+        def counted(*args, **kwargs):
+            calls[kind] += 1
+            return originals[kind](*args, **kwargs)
+        return counted
 
     for name, module in list(sys.modules.items()):
         if name.startswith("mfdglht") and hasattr(module, "_centered_weighted"):
-            monkeypatch.setattr(module, "_centered_weighted", counting_prepare)
-    monkeypatch.setattr("mfdglht.dof.gram_upper", counting_gram)
+            monkeypatch.setattr(module, "_centered_weighted", counting("prepare"))
+    monkeypatch.setattr(dof_module, "within_group_scalars", counting("within"))
+    monkeypatch.setattr(dof_module, "pair_trace_integrals", counting("pair"))
+    # Three touched groups: one block per group and one per pair.
     run_glht(ds, spec)
-    assert calls == {"prepare": 1, "gram": 1}
+    assert calls == {"prepare": 1, "within": 3, "pair": 3}
 
     w = quad_weights(ds.grid)
     glht = build_glht(ds, spec, w)
-    calls.update(prepare=0, gram=0)
+    calls.update(prepare=0, within=0, pair=0)
     dof_estimates(ds, spec, w, glht=glht)
-    assert calls == {"prepare": 0, "gram": 1}
+    assert calls == {"prepare": 0, "within": 3, "pair": 3}
 
 
 @st.composite

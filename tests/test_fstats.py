@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.linalg
+import scipy.special
 import scipy.stats
 
 import mfdglht
@@ -28,7 +29,7 @@ from mfdglht import (
     run_glht,
     statistics,
 )
-from mfdglht.fstats import _theta
+from mfdglht.fstats import _betainc, _theta
 from mfdglht.glht import _USTAT_N, _design
 from oracles import inv_sqrt_spd
 
@@ -113,6 +114,40 @@ def test_f_cdf_invalid_args():
 def test_f_sf_complements_cdf():
     for x, d1, d2 in [(0.7, 2.5, 11.0), (3.2, 6.0, 38.0), (1.1, 0.7, 0.9)]:
         assert f_sf(x, d1, d2) == pytest.approx(1.0 - f_cdf(x, d1, d2), abs=1e-13)
+
+
+@pytest.mark.parametrize("hi, rtol", [(1e3, 1e-11), (1e5, 1e-9)], ids=["to-1e3", "to-1e5"])
+def test_betainc_matches_scipy(hi, rtol):
+    # Log-uniform a, b in [0.05, hi] and x or 1 - x in [1e-12, 0.5]. The
+    # oracle takes x alone, so y is formed from x the way it forms it.
+    rng = np.random.default_rng(int(hi))
+    a, b = np.exp(rng.uniform(np.log(0.05), np.log(hi), size=(2, 3000)))
+    tail = np.exp(rng.uniform(np.log(1e-12), np.log(0.5), size=3000))
+    x = np.where(rng.random(3000) < 0.5, tail, 1.0 - tail)
+    want = scipy.special.betainc(a, b, x)
+    kept = want >= 1e-250  # the log prefactor's rounding is relative above underflow
+    assert kept.sum() > 1500
+    got = np.array([_betainc(*args) for args in zip(a[kept].tolist(), b[kept].tolist(),
+                                                      x[kept].tolist(), (1.0 - x[kept]).tolist())])
+    assert np.allclose(got, want[kept], rtol=rtol, atol=0)
+
+
+def test_betainc_edges():
+    assert _betainc(2.5, 0.5, 0.0, 1.0) == 0.0
+    assert _betainc(2.5, 0.5, 1.0, 0.0) == 1.0
+    assert f_sf(np.inf, 2.5, 0.5) == 0.0
+    assert f_cdf(np.inf, 2.5, 0.5) == 1.0
+    assert f_sf(0.0, 2.5, 0.5) == 1.0
+
+
+def test_betainc_iteration_cap_raises_typed_error(monkeypatch):
+    monkeypatch.setattr(fstats, "BETAINC_MAX_ITER", 1)
+    with pytest.raises(ApproximationUndefinedError) as err:
+        _betainc(40.0, 60.0, 0.7, 0.3)
+    assert str(err.value) == ("incomplete beta continued fraction did not converge in 1 "
+                              "terms (a=40, b=60, x=0.7)")
+    with pytest.raises(ApproximationUndefinedError):
+        f_sf(2.0, 6.0, 40.0)
 
 
 def test_f_cdf_against_quadrature_oracle():

@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from mfdglht.dataset import FunctionalDataset, GroupSample, make_uniform_grid, quad_weights
-from mfdglht.dof import (
-    gram_upper,
-    pair_trace_integrals,
-    symmetric_block,
-    ustat_within_fast,
-    within_group_scalars,
-)
+from mfdglht.dof import pair_trace_integrals, ustat_within_fast, within_group_scalars
 from mfdglht.glht import OmegaHat
 
 
@@ -18,26 +12,6 @@ def brute_gram(z, w):
     """Full weighted Gram of curves z (n, p, m), shape (n p, n p), by einsum."""
     n, p, m = z.shape
     return np.einsum("apt,cqt,t->apcq", z, z, w).reshape(n * p, n * p)
-
-
-def test_gram_upper_fills_only_the_upper_triangle():
-    rng = np.random.default_rng(1)
-    a = rng.normal(size=(13, 7))
-    gram = gram_upper(a)
-    full = np.einsum("it,jt->ij", a, a)
-    upper = np.triu_indices(13)
-    assert np.allclose(gram[upper], full[upper], rtol=1e-13, atol=1e-13)
-    assert np.all(np.tril(gram, -1) == 0.0)
-
-
-@pytest.mark.parametrize("lo, hi", [(0, 4), (4, 13), (2, 9), (0, 13)])
-def test_symmetric_block_matches_full_gram(lo, hi):
-    rng = np.random.default_rng(2)
-    a = rng.normal(size=(13, 5))
-    block = symmetric_block(gram_upper(a), lo, hi)
-    full = np.einsum("it,jt->ij", a, a)
-    assert np.allclose(block, full[lo:hi, lo:hi], rtol=1e-13, atol=1e-13)
-    assert np.array_equal(block, block.T)
 
 
 @pytest.mark.parametrize("shape", [(4, 1, 3), (8, 3, 12), (15, 6, 20)])
@@ -94,10 +68,10 @@ def test_pair_trace_integrals_brute_force_from_upper_block():
     x = np.einsum("ipt,jqt,t->ipjq", c1, c2, w)
     i_ref = float(np.einsum("ipjq,ipjq->", x, x))
     t_ref = float(np.einsum("ipjq,iqjp->", x, x))
-    # The cross block as the dof path reads it: the upper side of one Gram.
-    pooled = np.concatenate([c1, c2]) * np.sqrt(w)
-    gram = gram_upper(pooled.reshape(-1, 9))
-    i_val, t_val = pair_trace_integrals(gram[:18, 18:], 3)
+    # The cross block as the dof path forms it: one product of the two
+    # groups' weighted curves, an upper block of their Gram.
+    z1, z2 = ((c * np.sqrt(w)).reshape(-1, 9) for c in (c1, c2))
+    i_val, t_val = pair_trace_integrals(z1 @ z2.T, 3)
     assert i_val == pytest.approx(i_ref, rel=1e-12)
     assert t_val == pytest.approx(t_ref, rel=1e-12)
 
