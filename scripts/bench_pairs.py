@@ -34,12 +34,19 @@ not modules are kept under ``exports``, so the file also shows a change to
 the API.
 
 Each side's start-up cost is kept under ``import``: ``IMPORT`` below runs
-in ``IMPORT_RUNS`` fresh processes per side, the sides alternating, with
+in ``FRESH_RUNS`` fresh processes per side, the sides alternating, with
 BLAS pinned to one thread. The file keeps the median wall time of
 ``import mfdglht`` and the median ``ru_maxrss`` right after it, each with
 its runs, and the sorted third-party top-level modules loaded by the
 import and one ``run_glht``: those absent at interpreter start whose file
 lies in a site-packages directory.
+
+Each side's CSV ingestion is kept under ``ingest``: the change side writes
+the long-grid dataset of the benchmark's ``test_long_grid`` workload
+(``LONG_GRID`` below, 1.2 million rows) once, and ``INGEST`` reads it with
+``load_csv`` in ``FRESH_RUNS`` fresh processes per side, alternating as
+above. The file keeps the median wall time of ``load_csv`` and the median
+``ru_maxrss`` right after it, each with its runs.
 
 Last, each side runs the Tier-1 test suite once (``TIER1`` below, with the
 side's ``src`` first on ``PYTHONPATH``); the file keeps its wall time, its
@@ -85,7 +92,7 @@ for name, run in runs.items():
     counts[name] = pstats.Stats(profile).total_calls
 print(json.dumps(counts))
 """
-IMPORT_RUNS = 7
+FRESH_RUNS = 7
 IMPORT = """
 import json, resource, sys, time
 sys.path.insert(0, sys.argv[1])
@@ -100,6 +107,23 @@ loaded = {name.split(".")[0] for name in sys.modules} - at_start
 third_party = sorted(name for name in loaded - {"mfdglht"} if not name.startswith("_")
                      and "-packages" in (getattr(sys.modules[name], "__file__", None) or ""))
 print(json.dumps({"import_s": import_s, "maxrss_kb": maxrss_kb, "third_party": third_party}))
+"""
+LONG_GRID = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import mfdglht as lib
+cfg = lib.SimConfig(n=(40, 40, 60, 60), p=6, m=1000, scenario="S2", model=3, rho=0.5)
+lib.write_csv(lib.gen_sample(cfg, [1, 2]), sys.argv[2])
+"""
+INGEST = """
+import json, resource, sys, time
+sys.path.insert(0, sys.argv[1])
+import mfdglht as lib
+started = time.perf_counter()
+lib.load_csv(sys.argv[2])
+load_s = time.perf_counter() - started
+maxrss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({"load_s": load_s, "maxrss_kb": maxrss_kb}))
 """
 EXPORTS = """
 import json, sys, types
@@ -163,21 +187,44 @@ def count_calls(checkout: Path) -> dict:
     return json.loads(done.stdout)
 
 
-def import_costs(sides: dict) -> dict:
-    """``IMPORT``'s start-up cost of each side, over ``IMPORT_RUNS`` alternating runs."""
+def fresh_runs(sides: dict, script: str, *args: str) -> dict:
+    """The JSON line ``script`` prints in ``FRESH_RUNS`` fresh processes per
+    side, the sides alternating, with BLAS pinned to one thread. The script
+    gets the side's ``src`` and then ``args`` as its arguments."""
     env = {**os.environ, **{var: "1" for var in BLAS_THREAD_VARS}}
     runs = {side: [] for side in sides}
-    for i in range(IMPORT_RUNS):
+    for i in range(FRESH_RUNS):
         for side in (list(sides) if i % 2 == 0 else list(sides)[::-1]):
-            done = subprocess.run([sys.executable, "-c", IMPORT, str(sides[side] / "src")],
+            done = subprocess.run([sys.executable, "-c", script, str(sides[side] / "src"), *args],
                                   capture_output=True, text=True, check=True,
                                   timeout=RUN_TIMEOUT_S, env=env)
             runs[side].append(json.loads(done.stdout))
-    return {side: {"runs": IMPORT_RUNS,
+    return runs
+
+
+def import_costs(sides: dict) -> dict:
+    """``IMPORT``'s start-up cost of each side."""
+    return {side: {"runs": FRESH_RUNS,
                    "import_s": spread([r["import_s"] for r in rs]),
                    "maxrss_mb": spread([r["maxrss_kb"] / 1024 for r in rs]),
                    "third_party_modules": rs[-1]["third_party"]}
-            for side, rs in runs.items()}
+            for side, rs in fresh_runs(sides, IMPORT).items()}
+
+
+def ingest_costs(sides: dict, workdir: Path) -> dict:
+    """``INGEST``'s cost of reading the long-grid CSV on each side."""
+    path = workdir / "long_grid.csv"
+    subprocess.run([sys.executable, "-c", LONG_GRID, str(sides["change"] / "src"), str(path)],
+                   check=True, timeout=RUN_TIMEOUT_S)
+    with path.open(encoding="utf-8") as lines:
+        rows = sum(1 for _ in lines) - 1
+    result = {"rows": rows, "file_mb": path.stat().st_size / 2**20}
+    for side, rs in fresh_runs(sides, INGEST, str(path)).items():
+        result[side] = {"runs": FRESH_RUNS,
+                        "load_csv_s": spread([r["load_s"] for r in rs]),
+                        "maxrss_mb": spread([r["maxrss_kb"] / 1024 for r in rs])}
+    path.unlink()
+    return result
 
 
 def exports(checkout: Path) -> list:
@@ -271,6 +318,8 @@ def main(argv=None) -> int:
         result["src_lines"] = {side: src_lines(checkout) for side, checkout in sides.items()}
         result["exports"] = {side: exports(checkout) for side, checkout in sides.items()}
         result["import"] = import_costs(sides)
+        result["ingest"] = ingest_costs(sides, Path(tmp))
+        print("ingest done", file=sys.stderr, flush=True)
         result["tier1"] = {"command": "PYTHONPATH=src python " + " ".join(TIER1)}
         for side, checkout in sides.items():
             result["tier1"][side] = run_tier1(checkout)

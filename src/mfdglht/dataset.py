@@ -189,6 +189,22 @@ def _open_text(source):
 # filtered line by line.
 CHUNK_LINES = 2**15
 
+# Index types of the stored rows, narrowest first. There is no uint64:
+# numpy promotes uint64 with int64 to float64.
+_INDEX_TYPES = (np.uint8, np.uint16, np.uint32, np.int64)
+
+
+def _record_type(index, header: tuple[str, ...]) -> np.dtype:
+    """One row of a file with ``header``: its indices of type ``index``, then its value."""
+    return np.dtype([("cell", index, (len(header) - 1,)), ("value", np.float64)])
+
+
+def _index_type(cells: np.ndarray) -> np.dtype:
+    """The narrowest of ``_INDEX_TYPES`` that holds every index in ``cells``."""
+    lo, hi = cells.min(initial=0), cells.max(initial=0)
+    return np.dtype(next(t for t in _INDEX_TYPES
+                         if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max))
+
 
 def _parse(lines, dtype) -> np.ndarray:
     return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
@@ -234,19 +250,28 @@ def _read_rows(source, header: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]
     ``header`` names the columns: integer indices, then one float column.
     Blank lines, whitespace-only lines and lines whose first non-blank
     character is ``#`` are skipped; the first other line must be the
-    header (case-insensitive). Indices must be base-10 integers >= 1 and
-    values decimal floats, ``inf`` or ``nan``. ``cells`` is an int64 array
-    with one column per index, ``values`` a float64 vector; both may be
-    empty. A line the parser rejects is named by ``_row_fault``.
+    header (case-insensitive). One UTF-8 byte-order mark at the start of the
+    file is ignored. Indices must be base-10 integers >= 1 and values
+    decimal floats, ``inf`` or ``nan``. ``cells`` is an array with one
+    column per index, of the narrowest of ``_INDEX_TYPES`` that holds every
+    index; ``values`` is a float64 vector. Both may be empty, and both are
+    views of one record array. A line the parser rejects is named by
+    ``_row_fault``.
 
     The lines after the header reach the parser raw, ``CHUNK_LINES`` at a
     time; only a chunk it rejects is filtered line by line (``_read_chunk``).
+    Each chunk is parsed with int64 indices, so the grammar and the fault
+    messages do not depend on the stored type. A dataset row whose indices
+    are all below 65536 is stored in 16 bytes: four uint16 indices and the
+    value, against 40 with int64 indices.
     """
-    dtype = [("cell", np.int64, (len(header) - 1,)), ("value", np.float64)]
-    records = np.empty(0, dtype)
+    parsed = _record_type(np.int64, header)
+    index = np.dtype(_INDEX_TYPES[0])
+    records = np.empty(0, _record_type(index, header))
     stream, owned = _open_text(source)
     try:
-        for line_no, line in enumerate(map(str.strip, stream), start=1):
+        for line_no, raw in enumerate(stream, start=1):
+            line = (raw.removeprefix("\ufeff") if line_no == 1 else raw).strip()
             if line and line[0] != "#":
                 break
         else:
@@ -255,8 +280,13 @@ def _read_rows(source, header: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]
             raise IngestionError(f"line {line_no}: expected header {','.join(header)!r}")
         below = None
         while chunk := list(itertools.islice(stream, CHUNK_LINES)):
-            part, fault = _read_chunk(chunk, line_no + 1, dtype, header)
-            # Grown by realloc, so the rows are never held twice (as a list of parts would).
+            part, fault = _read_chunk(chunk, line_no + 1, parsed, header)
+            wider = np.promote_types(index, _index_type(part["cell"]))
+            if wider != index:  # at most once per step of the ladder
+                index = wider
+                records = records.astype(_record_type(index, header))
+            # Grown by realloc, so the rows are never held twice (as a list of
+            # parts would); the chunk's int64 indices are narrowed as it is stored.
             records.resize(len(records) + len(part), refcheck=False)
             records[len(records) - len(part):] = part
             below = below or fault
@@ -357,7 +387,16 @@ def _group_values(gi: int, cells: np.ndarray, values: np.ndarray, m: int) -> np.
     # index far from int64 overflow when an index is absurdly large.
     limit = min(size, len(values) + 1)
     keep = (obs <= (limit - 1) // (p * m) + 1) & (comp <= (limit - 1) // m + 1) & (time <= limit)
-    lin = ((obs[keep] - 1) * p + comp[keep] - 1) * m + time[keep] - 1
+    # ((obs - 1) * p + comp - 1) * m + time - 1, in one int64 array built in
+    # place from the narrow index columns.
+    lin = obs[keep].astype(np.int64)
+    lin -= 1
+    lin *= p
+    lin += comp[keep]
+    lin -= 1
+    lin *= m
+    lin += time[keep]
+    lin -= 1
     counts = np.bincount(lin[lin < limit], minlength=limit)
     for fault, where in (("duplicate", counts > 1), ("missing", counts == 0)):
         if where.any():
@@ -395,7 +434,7 @@ def load_csv(source) -> FunctionalDataset:
     if np.any(cells[1:, 0] < cells[:-1, 0]):
         order = np.argsort(cells[:, 0])
         cells, values = cells[order], values[order]
-    bounds = np.flatnonzero(np.diff(cells[:, 0])) + 1
+    bounds = np.flatnonzero(cells[1:, 0] != cells[:-1, 0]) + 1
     gaps = np.flatnonzero(cells[np.r_[0, bounds], 0] != np.arange(1, len(bounds) + 2))
     if gaps.size:
         raise IngestionError(f"group {gaps[0] + 1} has no rows (groups must be numbered 1..k)")

@@ -1,5 +1,6 @@
 import inspect
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,12 +12,14 @@ from mfdglht import (
     Grid,
     GroupSample,
     IngestionError,
+    SimConfig,
     ValidationError,
+    gen_sample,
     load_csv,
     make_uniform_grid,
     write_csv,
 )
-from mfdglht.dataset import CHUNK_LINES
+from mfdglht.dataset import CHUNK_LINES, CSV_HEADER, _read_rows
 
 
 def make_csv(rows):
@@ -275,6 +278,34 @@ def test_missing_header_names_line(first):
     assert ingestion_message(text) == (
         "line 4: expected header 'group,obs,component,time_index,value'"
     )
+
+
+@pytest.mark.parametrize("before", ["", "# comment\n", "\n  \n"])
+def test_byte_order_mark_before_header_is_ignored(before, tmp_path):
+    # Spreadsheet "CSV UTF-8" exports start with one; it is dropped from line 1 only.
+    text = "\ufeff" + before + layout(cell_rows())
+    clean = load_csv(io.StringIO(before + layout(cell_rows())))
+    path = tmp_path / "bom.csv"
+    path.write_text(text, encoding="utf-8")
+    for ds in (load_csv(io.StringIO(text)), load_csv(path)):
+        assert ds.n == clean.n
+        for got, want in zip(ds.groups, clean.groups):
+            assert np.array_equal(got.values, want.values)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("# c\n\ufeff" + HEADER + "\n1,1,1,1,0.5\n",
+         "line 2: expected header 'group,obs,component,time_index,value'"),
+        ("\ufeff\ufeff" + HEADER + "\n1,1,1,1,0.5\n",
+         "line 1: expected header 'group,obs,component,time_index,value'"),
+        (HEADER + "\n1,1,1,1,0.5\n\ufeff1,1,1,2,0.5\n", "line 3: group '\\ufeff1' is not an integer"),
+    ],
+    ids=["after-comment", "twice", "data-row"],
+)
+def test_byte_order_mark_elsewhere_is_an_error(text, message):
+    assert ingestion_message(text) == message
 
 
 @pytest.mark.parametrize("text", ["", "\n", "# only a comment\n  \n\t\n"])
@@ -553,6 +584,58 @@ def test_malformed_line_is_reported_before_earlier_index_below_one(chunk_lines, 
     rows[FAULT_AT] = bad
     text = layout(rows)
     assert ingestion_message(text) == f"line {line_of(text, bad)}: value 'x' is not a number"
+
+
+def load_outcome(text):
+    """The groups ``load_csv`` reads from ``text``, or the message it raises."""
+    try:
+        return [g.values for g in load_csv(io.StringIO(text)).groups]
+    except IngestionError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize(
+    "column, raw, index",
+    [
+        (3, "300", np.uint16),  # time_index 256..300 in later chunks: loads
+        (3, "70000", np.uint32),  # the last row's time_index: a missing cell
+        (1, str(2**63 - 1), np.int64),  # the last row's obs: a missing cell
+    ],
+)
+def test_index_type_widens_across_chunks(column, raw, index, monkeypatch):
+    # The rows' index type starts at uint8 and widens as later chunks need:
+    # to uint16 at time_index 256, then to ``index`` at the last row.
+    rows = cell_rows(k=1, n=1, p=1, m=300)
+    rows[-1] = with_field(rows[-1], column, raw)
+    text = "\n".join([HEADER, *rows]) + "\n"
+    whole = load_outcome(text)
+    monkeypatch.setattr("mfdglht.dataset.CHUNK_LINES", 4)
+    cells, values = _read_rows(io.StringIO(text), CSV_HEADER)
+    assert cells.dtype == index
+    assert cells[:, column].tolist() == [int(row.split(",")[column]) for row in rows]
+    assert values.tolist() == [float(row.split(",")[4]) for row in rows]
+    chunked = load_outcome(text)
+    if isinstance(whole, str):
+        assert chunked == whole and whole.startswith("missing cell")
+    else:
+        assert all(np.array_equal(a.view(np.int64), b.view(np.int64))
+                   for a, b in zip(whole, chunked))
+
+
+def test_load_csv_peak_memory_per_row(tmp_path):
+    # Read from a path: a StringIO holds its whole text at 4 bytes a character.
+    # The rows are kept at 12 bytes (uint8 indices) while the file is read.
+    cfg = SimConfig(n=(40, 40, 60, 60), p=6, m=200, scenario="S2", model=3, rho=0.5)
+    path = tmp_path / "data.csv"
+    write_csv(gen_sample(cfg, [1, 2]), path)
+    rows = sum(cfg.n) * cfg.p * cfg.m
+    tracemalloc.start()
+    try:
+        load_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * rows
 
 
 @pytest.mark.parametrize(

@@ -132,6 +132,21 @@ def test_betainc_matches_scipy(hi, rtol):
     assert np.allclose(got, want[kept], rtol=rtol, atol=0)
 
 
+def test_f_tails_match_scipy_with_one_large_df():
+    # df1 <= 10 and df2 up to 1e12: one beta argument below 10 and one far
+    # above it, where lgamma(a + b) - lgamma(b) would cancel at the scale of
+    # lgamma itself. x spans the central 99.98% of F(df1, df2).
+    rng = np.random.default_rng(25)
+    df1 = rng.uniform(0.2, 10.0, 500)
+    df2 = np.exp(rng.uniform(np.log(20.0), np.log(1e12), 500))
+    df2[:3] = 1e7, 1e9, 1e12
+    x = scipy.stats.chi2.ppf(rng.uniform(1e-4, 1 - 1e-4, 500), df1) / df1
+    x[:3] = 1.0
+    for tail, oracle in ((f_sf, scipy.stats.f.sf), (f_cdf, scipy.stats.f.cdf)):
+        got = np.array([tail(*args) for args in zip(x.tolist(), df1.tolist(), df2.tolist())])
+        assert np.allclose(got, oracle(x, df1, df2), rtol=1e-10, atol=0)
+
+
 def test_betainc_edges():
     assert _betainc(2.5, 0.5, 0.0, 1.0) == 0.0
     assert _betainc(2.5, 0.5, 1.0, 0.0) == 1.0

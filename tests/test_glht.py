@@ -262,6 +262,27 @@ def test_contrast_and_c0_files_skip_blank_and_comment_lines():
     assert c0[0, 1, 2] == -0.25 and np.count_nonzero(c0) == 1
 
 
+def test_contrast_and_c0_files_ignore_a_leading_byte_order_mark(tmp_path):
+    path = tmp_path / "contrast.csv"
+    path.write_text("\ufeffrow,col,value\n1,1,1\n1,4,-1\n", encoding="utf-8")
+    assert load_contrast_csv(path).tolist() == [[1.0, 0.0, 0.0, -1.0]]
+    c0 = load_c0_csv(io.StringIO("\ufeff# c\nrow,component,time_index,value\n1,2,3,-0.25\n"),
+                     p=2, m=3, q=1)
+    assert c0[0, 1, 2] == -0.25 and np.count_nonzero(c0) == 1
+
+
+def test_c0_bounds_hold_for_indices_past_a_byte():
+    # time_index 300 is read into uint16 cells; the bound m is a Python int.
+    header = "row,component,time_index,value\n"
+    c0 = load_c0_csv(io.StringIO(header + "1,1,300,0.5\n1,2,1,-1\n"), p=2, m=300, q=1)
+    assert c0.shape == (1, 2, 300) and c0[0, 0, 299] == 0.5 and c0[0, 1, 0] == -1.0
+    with pytest.raises(IngestionError) as info:
+        load_c0_csv(io.StringIO(header + "1,1,300,0.5\n"), p=2, m=299, q=1)
+    assert str(info.value) == (
+        "C0 cell (row=1, component=1, time_index=300) outside dataset shape (q=1, p=2, m=299)"
+    )
+
+
 CONTRAST_CSV_ERRORS = [
     ("row,col,value\n1,1\n", "line 2: expected 3 fields, got 2"),
     ("row,col,value\n\n1,x,1\n", "line 3: col 'x' is not an integer"),
