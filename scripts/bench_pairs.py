@@ -48,6 +48,14 @@ the long-grid dataset of the benchmark's ``test_long_grid`` workload
 above. The file keeps the median wall time of ``load_csv`` and the median
 ``ru_maxrss`` right after it, each with its runs.
 
+Each side's long-grid test with BLAS unpinned is kept under ``unpinned``:
+``UNPINNED`` below times ``UNPINNED_CALLS`` calls of ``run_glht`` on the
+same long-grid dataset, in memory, after a warm-up call, in ``FRESH_RUNS``
+fresh processes per side, alternating as above, with every BLAS thread
+variable removed from the environment, so that BLAS runs its own threads.
+The file keeps each process's median wall and CPU time per call, and their
+median and quartiles.
+
 Last, each side runs the Tier-1 test suite once (``TIER1`` below, with the
 side's ``src`` first on ``PYTHONPATH``); the file keeps its wall time, its
 exit code and its passed/skipped/failed counts under ``tier1``.
@@ -108,12 +116,28 @@ third_party = sorted(name for name in loaded - {"mfdglht"} if not name.startswit
                      and "-packages" in (getattr(sys.modules[name], "__file__", None) or ""))
 print(json.dumps({"import_s": import_s, "maxrss_kb": maxrss_kb, "third_party": third_party}))
 """
-LONG_GRID = """
+LONG_GRID_CONFIG = 'SimConfig(n=(40, 40, 60, 60), p=6, m=1000, scenario="S2", model=3, rho=0.5)'
+LONG_GRID = f"""
 import sys
 sys.path.insert(0, sys.argv[1])
 import mfdglht as lib
-cfg = lib.SimConfig(n=(40, 40, 60, 60), p=6, m=1000, scenario="S2", model=3, rho=0.5)
-lib.write_csv(lib.gen_sample(cfg, [1, 2]), sys.argv[2])
+lib.write_csv(lib.gen_sample(lib.{LONG_GRID_CONFIG}, [1, 2]), sys.argv[2])
+"""
+UNPINNED_CALLS = 30
+UNPINNED = f"""
+import json, statistics, sys, time
+sys.path.insert(0, sys.argv[1])
+import mfdglht as lib
+ds = lib.gen_sample(lib.{LONG_GRID_CONFIG}, [1, 2])
+spec = lib.ContrastSpec([[1.0, -3.0, 0.0, 2.0]])
+lib.run_glht(ds, spec)
+wall, cpu = [], []
+for _ in range({UNPINNED_CALLS}):
+    wall_0, cpu_0 = time.perf_counter(), time.process_time()
+    lib.run_glht(ds, spec)
+    wall.append(time.perf_counter() - wall_0)
+    cpu.append(time.process_time() - cpu_0)
+print(json.dumps({{"wall_ms": 1e3 * statistics.median(wall), "cpu_ms": 1e3 * statistics.median(cpu)}}))
 """
 INGEST = """
 import json, resource, sys, time
@@ -187,11 +211,14 @@ def count_calls(checkout: Path) -> dict:
     return json.loads(done.stdout)
 
 
-def fresh_runs(sides: dict, script: str, *args: str) -> dict:
+def fresh_runs(sides: dict, script: str, *args: str, pinned: bool = True) -> dict:
     """The JSON line ``script`` prints in ``FRESH_RUNS`` fresh processes per
-    side, the sides alternating, with BLAS pinned to one thread. The script
-    gets the side's ``src`` and then ``args`` as its arguments."""
-    env = {**os.environ, **{var: "1" for var in BLAS_THREAD_VARS}}
+    side, the sides alternating, with BLAS pinned to one thread or, if not
+    ``pinned``, with every BLAS thread variable removed. The script gets the
+    side's ``src`` and then ``args`` as its arguments."""
+    env = {var: value for var, value in os.environ.items() if var not in BLAS_THREAD_VARS}
+    if pinned:
+        env.update({var: "1" for var in BLAS_THREAD_VARS})
     runs = {side: [] for side in sides}
     for i in range(FRESH_RUNS):
         for side in (list(sides) if i % 2 == 0 else list(sides)[::-1]):
@@ -225,6 +252,15 @@ def ingest_costs(sides: dict, workdir: Path) -> dict:
                         "maxrss_mb": spread([r["maxrss_kb"] / 1024 for r in rs])}
     path.unlink()
     return result
+
+
+def unpinned_costs(sides: dict) -> dict:
+    """``UNPINNED``'s median wall and CPU time of one long-grid ``run_glht`` on
+    each side, with BLAS free to run its own threads."""
+    return {side: {"runs": FRESH_RUNS, "calls_per_run": UNPINNED_CALLS,
+                   "run_glht_wall_ms": spread([r["wall_ms"] for r in rs]),
+                   "run_glht_cpu_ms": spread([r["cpu_ms"] for r in rs])}
+            for side, rs in fresh_runs(sides, UNPINNED, pinned=False).items()}
 
 
 def exports(checkout: Path) -> list:
@@ -320,6 +356,8 @@ def main(argv=None) -> int:
         result["import"] = import_costs(sides)
         result["ingest"] = ingest_costs(sides, Path(tmp))
         print("ingest done", file=sys.stderr, flush=True)
+        result["unpinned"] = unpinned_costs(sides)
+        print("unpinned done", file=sys.stderr, flush=True)
         result["tier1"] = {"command": "PYTHONPATH=src python " + " ".join(TIER1)}
         for side, checkout in sides.items():
             result["tier1"][side] = run_tier1(checkout)

@@ -373,19 +373,23 @@ def load_c0_csv(source, p: int, m: int, q: int) -> np.ndarray:
                        f"dataset shape (q={q}, p={p}, m={m})")
 
 
-def _group_values(gi: int, cells: np.ndarray, values: np.ndarray, m: int) -> np.ndarray:
+def _group_values(gi: int, cells: np.ndarray, values: np.ndarray, rows, m: int) -> np.ndarray:
     """Scatter one group's (obs, component, time_index) cells into an (n_obs, p, m) array.
 
-    Raises on the first duplicate or, failing that, the first missing cell
-    in (obs, component, time_index) order.
+    ``rows`` picks the group's rows of ``cells`` (columns group, obs,
+    component, time_index) and ``values``: a slice, or a boolean mask when
+    the file's groups are out of order, which copies only this group's
+    rows, the index columns first and the values last. Raises on the first
+    duplicate or, failing that, the first missing cell in (obs, component,
+    time_index) order.
     """
-    obs, comp, time = cells.T
+    obs, comp, time = (cells[:, col][rows] for col in (1, 2, 3))
     n_obs, p = int(obs.max()), int(comp.max())
     size = n_obs * p * m
-    # With len(values) rows, a fault lies among the first len(values) + 1
-    # cells. Counting only rows that can index those cells keeps the linear
-    # index far from int64 overflow when an index is absurdly large.
-    limit = min(size, len(values) + 1)
+    # With len(obs) rows, a fault lies among the first len(obs) + 1 cells.
+    # Counting only rows that can index those cells keeps the linear index
+    # far from int64 overflow when an index is absurdly large.
+    limit = min(size, len(obs) + 1)
     keep = (obs <= (limit - 1) // (p * m) + 1) & (comp <= (limit - 1) // m + 1) & (time <= limit)
     # ((obs - 1) * p + comp - 1) * m + time - 1, in one int64 array built in
     # place from the narrow index columns.
@@ -397,15 +401,17 @@ def _group_values(gi: int, cells: np.ndarray, values: np.ndarray, m: int) -> np.
     lin *= m
     lin += time[keep]
     lin -= 1
+    del obs, comp, time, keep  # copies when ``rows`` is a mask
     counts = np.bincount(lin[lin < limit], minlength=limit)
     for fault, where in (("duplicate", counts > 1), ("missing", counts == 0)):
         if where.any():
             cell = int(np.argmax(where))
             at = (gi, cell // (p * m) + 1, cell // m % p + 1, cell % m + 1)
             raise IngestionError(f"{fault} cell {_cell_label(CSV_HEADER, at)}")
+    del counts, where  # freed before the group and its gathered values are allocated
     # Every cell is present once, so every row was kept.
     group = np.empty(size)
-    group[lin] = values
+    group[lin] = values[rows]
     return group.reshape(n_obs, p, m)
 
 
@@ -430,18 +436,22 @@ def load_csv(source) -> FunctionalDataset:
     if m < 2:
         raise IngestionError(f"file uses time_index up to {m}; a grid needs at least 2 points")
 
-    # write_csv emits rows grouped in order; only other files pay for a sort.
-    if np.any(cells[1:, 0] < cells[:-1, 0]):
-        order = np.argsort(cells[:, 0])
-        cells, values = cells[order], values[order]
-    bounds = np.flatnonzero(cells[1:, 0] != cells[:-1, 0]) + 1
-    gaps = np.flatnonzero(cells[np.r_[0, bounds], 0] != np.arange(1, len(bounds) + 2))
+    first = cells[:, 0]
+    if np.any(first[1:] < first[:-1]):
+        # Out of order: each group's rows are picked out by a mask as it is
+        # built, so the rows are never held twice, as a sorted copy held them.
+        labels = np.sort(first)  # a narrow copy; np.unique would import numpy.ma
+        labels = labels[np.r_[True, labels[1:] != labels[:-1]]]
+        rows = (first == label for label in labels)
+    else:  # write_csv emits rows grouped in order: each group is a slice
+        bounds = np.flatnonzero(first[1:] != first[:-1]) + 1
+        labels = first[np.r_[0, bounds]]
+        rows = (slice(lo, hi) for lo, hi in zip(np.r_[0, bounds], np.r_[bounds, len(values)]))
+    gaps = np.flatnonzero(labels != np.arange(1, len(labels) + 1))
     if gaps.size:
         raise IngestionError(f"group {gaps[0] + 1} has no rows (groups must be numbered 1..k)")
-    groups = [
-        GroupSample(_group_values(gi, cells[lo:hi, 1:], values[lo:hi], m))
-        for gi, (lo, hi) in enumerate(zip(np.r_[0, bounds], np.r_[bounds, len(values)]), start=1)
-    ]
+    groups = [GroupSample(_group_values(gi, cells, values, sel, m))
+              for gi, sel in enumerate(rows, start=1)]
 
     p = groups[0].values.shape[1]
     for gi, g in enumerate(groups[1:], start=2):

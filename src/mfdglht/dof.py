@@ -25,7 +25,14 @@ the per-dataset pass, forms the upper triangle of their Gram block by
 block, at the rows of the test's design (``glht._design``): z_g z_g^T for
 each touched group g (numpy's symmetric rank-m update, which returns the
 full block) and z_a z_b^T for each touched pair a < b, each formed once and
-read once, with weights from H on the touched groups. The within-group
+read once, with weights from H on the touched groups. The design deals the
+blocks into one list or, for a large Gram in a process with BLAS pinned to
+one thread and two CPUs, two lists of about equal flops
+(``glht._gram_blocks``). The caller runs the first list and one helper
+thread, started for the call and joined before it returns, the second:
+the products run in BLAS, which releases the interpreter lock, and each
+block writes only its own entries of the preallocated results, so two
+lists give the same bytes as one. The within-group
 U-statistics use an inclusion-exclusion rewrite in terms of complete-sum
 aggregates, never touching 3- or 4-tuples. The distinct-tuple
 U-statistics are invariant to a common shift, so centering changes no
@@ -52,8 +59,8 @@ functionals are contractions of one Gram of the basis curves.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
-from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -247,12 +254,37 @@ def _dof(design: _Design, curves: np.ndarray) -> _Dof:
     is not positive."""
     p, n, h = design.p, design.n, design.h_touched
     z = [curves[rows].reshape(-1, design.m) for rows in design.curves]
-    scalars = np.array([within_group_scalars(zg @ zg.T, p) for zg in z])
+    scalars = np.empty((len(z), 4))
+    cross = np.zeros((2, len(z), len(z)))
+
+    def run(blocks):
+        # Each block writes only its own entries, so the lists may run at once.
+        for a, b in blocks:
+            if a == b:
+                scalars[a] = within_group_scalars(z[a] @ z[a].T, p)
+            else:
+                cross[:, a, b] = pair_trace_integrals(z[a] @ z[b].T, p)
+
+    first, *rest = design.blocks
+    helper, failed = None, []
+    if rest:  # one more list (``glht._gram_blocks``), on one helper thread
+        def work():
+            try:
+                run(rest[0])
+            except BaseException as exc:  # re-raised by the caller
+                failed.append(exc)
+
+        helper = threading.Thread(target=work, name="mfdglht-gram")
+        helper.start()
+    try:
+        run(first)
+    finally:
+        if helper is not None:
+            helper.join()
+    if failed:
+        raise failed[0]
     functionals = _within_functionals(scalars, n)
     # The I and T matrices: between-group terms off the diagonal, within on it.
-    cross = np.zeros((2, len(z), len(z)))
-    for a, b in combinations(range(len(z)), 2):
-        cross[:, a, b] = pair_trace_integrals(z[a] @ z[b].T, p)
     cross *= _cross_scale(n)
     cross += cross.transpose(0, 2, 1)
     diag = np.arange(len(z))

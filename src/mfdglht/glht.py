@@ -24,13 +24,19 @@ row space), and the touched groups with H restricted to them. A group
 whose column of C is zero has zero weight in H, B and E, so the one
 preparation pass over a dataset (``_prepare``) reads only the curves of
 the groups C touches: one Gram of the curves the hypothesis weighs is all
-the degrees of freedom read. ``build_glht`` is the design and that pass.
+the degrees of freedom read. The design also deals that Gram's blocks into
+the lists ``dof._dof`` runs (``_gram_blocks``): one list, or two of about
+equal flops, the second for one helper thread, when the Gram costs at least
+``_SPLIT_FLOPS``, BLAS is pinned to one thread and the process may use two
+CPUs. ``build_glht`` is the design and that pass.
 The contrast and C0 files are read by ``dataset``.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -67,6 +73,29 @@ _SMALLEST_NORMAL = np.finfo(np.float64).tiny
 # distinct-index U-statistics that the degrees of freedom read.
 _COVARIANCE_N = (2, "a covariance requires")
 _USTAT_N = (4, "the distinct-index U-statistics require")
+# The Gram flops from which its blocks run on two threads. Interleaved
+# timings of ``_dof`` on one list and on two, with the threads on separate
+# CPUs (2-core VM, BLAS on one thread), broke even in wall time near 2e7
+# flops (n3 at m = 80, 1.8e7: 0.96x wall for 1.42x CPU), where starting and
+# joining the thread costs what the second core saves, but its CPU time was
+# 1.3-1.4x there. At 1e8 the split took 0.61-0.65x the wall time for
+# 1.07-1.16x the CPU, and at 7e8 (the long grid) 0.56x for 1.01x. So the
+# split starts at 1e8, and Table 1's shapes stay on one thread.
+_SPLIT_FLOPS = 1e8
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _blas_pinned(environ) -> bool:
+    """True when ``environ`` pins BLAS to one thread: each of its thread
+    variables unset or "1", at least one of them "1"."""
+    values = [environ.get(var) for var in _BLAS_THREAD_VARS]
+    return all(value in (None, "1") for value in values) and "1" in values
+
+
+# Read once: BLAS read the same variables when numpy loaded it. Unpinned,
+# BLAS runs its own threads on every core, and a helper adds nothing: the
+# long grid's Gram took 11.9 ms on one list and 11.8 ms on two.
+_BLAS_PINNED = _blas_pinned(os.environ)
 
 
 @dataclass(frozen=True)
@@ -353,6 +382,41 @@ class _Design:
     curves: tuple[slice, ...]  # each touched group's prepared curves
     omega_weights: np.ndarray  # h_ii / n_i
     h_touched: np.ndarray  # H restricted to the touched groups
+    blocks: tuple[tuple[tuple[int, int], ...], ...]  # the Gram blocks of each worker
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _gram_blocks(n: np.ndarray, p: int, m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The Gram blocks of touched groups of ``n`` curves, (g, g) for each group
+    and (a, b) for each pair a < b, as the lists the workers of ``_dof`` run.
+
+    One list, in that order, unless the Gram costs at least ``_SPLIT_FLOPS``,
+    BLAS is pinned to one thread and the process may use two CPUs. Then the
+    blocks go, costliest first, to whichever of two lists has fewer flops so
+    far: (n_g p)^2 m for a group (a symmetric product), 2 (n_a p)(n_b p) m
+    for a pair. Never more than two: one helper thread beside the caller
+    bounds the oversubscription of processes run side by side at 2x.
+    """
+    t = len(n)
+    blocks = tuple(zip(range(t), range(t))) + tuple(combinations(range(t), 2))
+    rows = n * p
+    # The blocks' flops add up to m (sum of rows)^2.
+    if t < 2 or sum(rows) ** 2 * m < _SPLIT_FLOPS or not _BLAS_PINNED or _usable_cpus() < 2:
+        return (blocks,)
+    cost = [rows[a] * rows[b] * m * (1 if a == b else 2) for a, b in blocks]
+    lists, totals = ([], []), [0.0, 0.0]
+    for i in sorted(range(len(blocks)), key=cost.__getitem__, reverse=True):
+        j = int(totals[1] < totals[0])
+        lists[j].append(blocks[i])
+        totals[j] += cost[i]
+    return tuple(map(tuple, lists))
 
 
 def _design(spec: ContrastSpec, sizes: tuple[int, ...], w: QuadWeights, p: int, m: int,
@@ -388,6 +452,7 @@ def _design(spec: ContrastSpec, sizes: tuple[int, ...], w: QuadWeights, p: int, 
         curves=tuple(slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])),
         omega_weights=np.diag(h_t) / n,
         h_touched=h_t,
+        blocks=_gram_blocks(n, p, m),
     )
 
 

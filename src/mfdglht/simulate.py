@@ -77,6 +77,11 @@ def _linear_combo_contrast(k: int) -> np.ndarray:
     return np.array([[1.0, -3.0, 0.0, 2.0]])
 
 
+def _is_integer(value) -> bool:
+    """True for a Python or numpy integer that is not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """One Monte Carlo setting.
@@ -127,8 +132,12 @@ class SimConfig:
             raise ValidationError("delta must be >= 0")
         if not (0.0 < self.alpha < 1.0):
             raise ValidationError("alpha must lie in (0, 1)")
+        if not _is_integer(self.reps):
+            raise ValidationError("reps must be an integer")
         if self.reps < 1:
             raise ValidationError("reps must be >= 1")
+        if not _is_integer(self.seed) or self.seed < 0:
+            raise ValidationError("seed must be a nonnegative integer")
         if self.p < 1 or self.m < 2:
             raise ValidationError("need p >= 1 and m >= 2")
 

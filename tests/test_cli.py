@@ -458,16 +458,23 @@ def test_cmd_report_csv_without_completed_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "overrides",
-    [{"n": ["x", 5, 5, 5]}, {"contrast": [[1, "x", 0, -1]]}],
-    ids=["n", "contrast"],
+    "overrides, message",
+    [
+        ({"n": ["x", 5, 5, 5]}, "invalid literal for int()"),
+        ({"contrast": [[1, "x", 0, -1]]}, "could not convert string to float"),
+        ({"reps": 2.5}, "reps must be an integer"),
+        ({"seed": "abc"}, "seed must be a nonnegative integer"),
+        ({"seed": -5}, "seed must be a nonnegative integer"),
+    ],
+    ids=["n", "contrast", "fractional-reps", "string-seed", "negative-seed"],
 )
-def test_cmd_simulate_non_numeric_config_exit_2(overrides, tmp_path, capsys):
+def test_cmd_simulate_non_numeric_config_exit_2(overrides, message, tmp_path, capsys):
     config = tmp_path / "s.json"
     write_small_config(config, **overrides)
     assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "a.csv")]) == 2
     err = single_error_line(capsys)
     assert err["error"] == "InputError" and err["message"].startswith("setting 1: ")
+    assert message in err["message"]
 
 
 def test_cmd_simulate_oversized_config_exit_2(tmp_path, capsys):

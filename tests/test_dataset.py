@@ -409,6 +409,30 @@ def test_absurd_group_reports_gap():
     assert ingestion_message(layout(rows)) == "group 2 has no rows (groups must be numbered 1..k)"
 
 
+def _relabeled(rows, group, label):
+    return [with_field(row, 0, label) if row.startswith(f"{group},") else row for row in rows]
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (lambda rows: _relabeled(rows, 2, "4"), "group 2 has no rows (groups must be numbered 1..k)"),
+        (lambda rows: _relabeled(rows, 2, str(2**63 - 1)),
+         "group 2 has no rows (groups must be numbered 1..k)"),
+        (lambda rows: rows[:FAULT_AT] + rows[FAULT_AT + 1:],
+         "missing cell (group=2, obs=1, component=1, time_index=2)"),
+        # Group 3 misses a cell and group 1 repeats one: groups are checked in order.
+        (lambda rows: rows[:-1] + rows[:1], "duplicate cell (group=1, obs=1, component=1, "
+                                            "time_index=1)"),
+    ],
+    ids=["gap", "absurd-group", "missing", "faults-in-two-groups"],
+)
+def test_rows_out_of_group_order_report_the_same_fault(fault, message):
+    rows = fault(cell_rows(k=3))
+    assert ingestion_message(layout(rows)) == message
+    assert ingestion_message(layout(rows[::-1])) == message
+
+
 # --- property tests: round trip and single-byte corruption ---
 
 EXTREME_VALUES = [
@@ -622,20 +646,35 @@ def test_index_type_widens_across_chunks(column, raw, index, monkeypatch):
                    for a, b in zip(whole, chunked))
 
 
-def test_load_csv_peak_memory_per_row(tmp_path):
+def _load_csv_peak(path):
+    """``load_csv(path)`` and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        ds = load_csv(path)
+        return ds, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_csv_peak_memory_per_row(tmp_path, monkeypatch):
     # Read from a path: a StringIO holds its whole text at 4 bytes a character.
     # The rows are kept at 12 bytes (uint8 indices) while the file is read.
     cfg = SimConfig(n=(40, 40, 60, 60), p=6, m=200, scenario="S2", model=3, rho=0.5)
     path = tmp_path / "data.csv"
     write_csv(gen_sample(cfg, [1, 2]), path)
     rows = sum(cfg.n) * cfg.p * cfg.m
-    tracemalloc.start()
-    try:
-        load_csv(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 48 * rows
+    assert _load_csv_peak(path)[1] <= 48 * rows
+    # Rows out of group order are gathered group by group, never held twice.
+    # Small chunks keep the parser's own peak below the groups' at this size.
+    header, *lines = path.read_text().splitlines(keepends=True)
+    shuffled = tmp_path / "shuffled.csv"
+    shuffled.write_text(header + "".join(np.random.default_rng(5).permutation(lines)))
+    monkeypatch.setattr("mfdglht.dataset.CHUNK_LINES", 2**10)
+    ds, peak = _load_csv_peak(path)
+    shuffled_ds, shuffled_peak = _load_csv_peak(shuffled)
+    assert len(shuffled_ds.groups) == len(ds.groups)
+    assert all(np.array_equal(a.values, b.values) for a, b in zip(ds.groups, shuffled_ds.groups))
+    assert shuffled_peak <= 1.1 * peak
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import sys
+import threading
 import warnings
 from dataclasses import astuple
 from itertools import combinations
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mfdglht.dof as dof_module
+import mfdglht.glht as glht_module
 from mfdglht import (
     FunctionalDataset,
     Grid,
@@ -21,6 +23,7 @@ from mfdglht import (
     build_glht,
     cross_terms,
     dof_estimates,
+    gen_sample,
     k4_hat,
     make_uniform_grid,
     oneway_contrast,
@@ -957,3 +960,108 @@ def test_true_dof_rejects_kurtosis_of_the_wrong_length():
         true_dof(covs, [6, 6], hn, quad_weights(grid), kurtosis=[0.0])
     assert type(err.value) is ValidationError
     assert str(err.value) == "kurtosis must supply one value per group"
+
+
+# --- the Gram blocks split between the caller and one helper thread ---
+
+
+def _split_gram(monkeypatch, flops=0.0, pinned=True, cpus=2):
+    """Make ``glht._design`` split every Gram of at least ``flops``."""
+    monkeypatch.setattr("mfdglht.glht._SPLIT_FLOPS", flops)
+    monkeypatch.setattr("mfdglht.glht._BLAS_PINNED", pinned)
+    monkeypatch.setattr("mfdglht.glht._usable_cpus", lambda: cpus)
+
+
+def _dof_bytes(est):
+    within = np.array([astuple(group) for group in est.within])
+    return (np.array([est.d_b, est.d_e]).tobytes(), within.tobytes(), est.i_cross.tobytes(),
+            est.t_cross.tobytes(), est.clamped_b, est.clamped_e)
+
+
+LONG_GRID_N = (40, 40, 60, 60)
+
+
+def _design_of(c, n, p=6, m=80):
+    return glht_module._design(ContrastSpec(np.atleast_2d(c)), n,
+                               quad_weights(make_uniform_grid(m, 0.0, 1.0)), p, m,
+                               glht_module._USTAT_N)
+
+
+@pytest.mark.parametrize(
+    "c, with_c0",
+    [
+        ([1.0, 0.0, 0.0, 0.0], False),
+        ([1.0, -1.0, 0.0, 0.0], False),
+        ([1.0, -3.0, 0.0, 2.0], False),
+        (oneway_contrast(4).c, False),
+        (oneway_contrast(4).c, True),
+    ],
+    ids=["one-group", "two-groups", "three-groups-one-untouched", "four-groups", "four-groups-c0"],
+)
+def test_two_block_lists_give_byte_identical_results(c, with_c0, monkeypatch):
+    cfg = SimConfig(n=(5, 6, 7, 8), m=12, scenario="S2", model=3, rho=0.5)
+    ds = gen_sample(cfg, [4, 1])
+    c = np.atleast_2d(c)
+    c0 = np.random.default_rng(2).normal(size=(len(c), ds.p, ds.m)) if with_c0 else None
+    spec = ContrastSpec(c, c0)
+    w = quad_weights(ds.grid)
+    serial = run_glht(ds, spec).to_json(), _dof_bytes(dof_estimates(ds, spec, w))
+    _split_gram(monkeypatch)
+    touched = np.count_nonzero(np.any(c != 0, axis=0))
+    assert len(_design_of(c, ds.n, ds.p, ds.m).blocks) == min(touched, 2)
+    assert (run_glht(ds, spec).to_json(), _dof_bytes(dof_estimates(ds, spec, w))) == serial
+
+
+def test_helper_thread_exception_reaches_the_caller(monkeypatch):
+    ds = gen_sample(SimConfig(n=(5, 5, 5, 5), m=10), [3, 3])
+    _split_gram(monkeypatch)
+    real = dof_module.pair_trace_integrals
+    raised = []
+
+    def failing(block, p):
+        if threading.current_thread() is not threading.main_thread():
+            raised.append(True)
+            raise ZeroDivisionError("helper")
+        return real(block, p)
+
+    monkeypatch.setattr(dof_module, "pair_trace_integrals", failing)
+    threads = threading.active_count()
+    with pytest.raises(ZeroDivisionError, match="helper"):
+        run_glht(ds, oneway_contrast(4))
+    assert raised == [True]
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize(
+    "pinned, cpus, lists",
+    [(True, 2, 2), (True, 4, 2), (False, 2, 1), (True, 1, 1)],
+    ids=["pinned-2-cpus", "pinned-4-cpus", "unpinned", "one-cpu"],
+)
+def test_design_splits_only_a_large_gram_of_a_pinned_process_with_two_cpus(
+    pinned, cpus, lists, monkeypatch
+):
+    _split_gram(monkeypatch, flops=glht_module._SPLIT_FLOPS, pinned=pinned, cpus=cpus)
+    # Table 1's n3 shape costs 1.8e7 flops; the long grid's touched groups 7.1e8.
+    assert len(_design_of(oneway_contrast(4).c, (15, 15, 25, 25)).blocks) == 1
+    blocks = _design_of([1.0, -3.0, 0.0, 2.0], LONG_GRID_N, m=1000).blocks
+    assert len(blocks) == lists
+    assert sorted(block for part in blocks for block in part) == [
+        (0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)
+    ]
+    if lists == 2:  # longest first, each block to the list with fewer flops
+        assert blocks == (((0, 2), (2, 2), (1, 1)), ((1, 2), (0, 1), (0, 0)))
+
+
+@pytest.mark.parametrize(
+    "environ, pinned",
+    [
+        ({}, False),
+        ({"OPENBLAS_NUM_THREADS": "1"}, True),
+        ({"MKL_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}, True),
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, False),
+        ({"OMP_NUM_THREADS": "2"}, False),
+        ({"OPENBLAS_NUM_THREADS": ""}, False),
+    ],
+)
+def test_blas_pinned_needs_every_thread_variable_unset_or_one(environ, pinned):
+    assert glht_module._blas_pinned(environ) is pinned

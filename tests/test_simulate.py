@@ -485,6 +485,10 @@ def test_config_with_explicit_contrast_compares_and_hashes():
         pytest.param({"delta": -1}, "delta must be >= 0", id="delta"),
         pytest.param({"alpha": 0}, "alpha must lie in (0, 1)", id="alpha"),
         pytest.param({"reps": 0}, "reps must be >= 1", id="reps"),
+        pytest.param({"reps": 2.5}, "reps must be an integer", id="fractional-reps"),
+        pytest.param({"reps": True}, "reps must be an integer", id="bool-reps"),
+        pytest.param({"seed": -5}, "seed must be a nonnegative integer", id="negative-seed"),
+        pytest.param({"seed": "abc"}, "seed must be a nonnegative integer", id="string-seed"),
         pytest.param({"m": 1}, "need p >= 1 and m >= 2", id="m"),
         pytest.param({"contrast": "foo"}, "unknown contrast preset 'foo'", id="contrast"),
     ],
